@@ -16,9 +16,10 @@
 #           mux links/walks==1, storm walks==pairs, relaymesh 4-relay
 #           scaling >= 2x + BUSY engagement + failover FIFO).
 #   faults  fault-matrix smoke under three fixed RNG seeds, over the
-#           faults, storm, relay_mesh and adaptive suites
-#           (NETGRID_TEST_SEED shifts every Sim seed; the replay
-#           command is printed on failure).
+#           faults, storm, relay_mesh and adaptive suites, plus the
+#           simnet hop-fusion equivalence suite (NETGRID_TEST_SEED
+#           shifts every Sim seed and the scenario generator; the
+#           replay command is printed on failure).
 #   test    full workspace test suite.
 #
 # `./ci.sh` runs everything in the order above (golden and bench build
@@ -143,6 +144,12 @@ stage_faults() {
         return 1
       fi
     done
+    echo "--- NETGRID_TEST_SEED=$seed -p gridsim-net --test fusion"
+    if ! NETGRID_TEST_SEED=$seed cargo test -q -p gridsim-net --test fusion --release; then
+      echo "FAULT MATRIX FAILED: suite fusion under NETGRID_TEST_SEED=$seed"
+      echo "replay with: NETGRID_TEST_SEED=$seed cargo test -p gridsim-net --test fusion"
+      return 1
+    fi
   done
 }
 

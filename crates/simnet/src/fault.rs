@@ -234,20 +234,21 @@ impl FaultPlan {
         self.events.is_empty()
     }
 
-    /// Schedule every event relative to the current simulated time.
-    pub(crate) fn install(self, w: &World) {
+    /// Schedule every event relative to the current simulated time. Each
+    /// pending event instant bounds hop fusion (the world's fault horizon).
+    pub(crate) fn install(self, w: &mut World) {
         for ev in self.events {
             match ev {
                 FaultEvent::LinkDown { at, link } => {
-                    w.schedule_after(at, move |w| w.set_link_up(link, false));
+                    w.fault_after(at, move |w| w.set_link_up(link, false));
                 }
                 FaultEvent::LinkUp { at, link } => {
-                    w.schedule_after(at, move |w| w.set_link_up(link, true));
+                    w.fault_after(at, move |w| w.set_link_up(link, true));
                 }
                 FaultEvent::Flap { at, link, down_for } => {
-                    w.schedule_after(at, move |w| {
+                    w.fault_after(at, move |w| {
                         w.set_link_up(link, false);
-                        w.schedule_after(down_for, move |w| w.set_link_up(link, true));
+                        w.fault_after(down_for, move |w| w.set_link_up(link, true));
                     });
                 }
                 FaultEvent::LossBurst {
@@ -256,21 +257,21 @@ impl FaultPlan {
                     loss,
                     duration,
                 } => {
-                    w.schedule_after(at, move |w| {
+                    w.fault_after(at, move |w| {
                         let prev = w.link_mut(link).params.loss;
                         w.link_mut(link).params.loss = loss;
-                        w.schedule_after(duration, move |w| {
+                        w.fault_after(duration, move |w| {
                             w.link_mut(link).params.loss = prev;
                         });
                     });
                 }
                 FaultEvent::Partition { at, a, b, down_for } => {
-                    w.schedule_after(at, move |w| {
+                    w.fault_after(at, move |w| {
                         let links = w.path_links(a, b);
                         for &l in &links {
                             w.set_link_up(l, false);
                         }
-                        w.schedule_after(down_for, move |w| {
+                        w.fault_after(down_for, move |w| {
                             for &l in &links {
                                 w.set_link_up(l, true);
                             }
@@ -278,18 +279,18 @@ impl FaultPlan {
                     });
                 }
                 FaultEvent::NodeDown { at, node, down_for } => {
-                    w.schedule_after(at, move |w| {
+                    w.fault_after(at, move |w| {
                         w.set_node_up(node, false);
-                        w.schedule_after(down_for, move |w| w.set_node_up(node, true));
+                        w.fault_after(down_for, move |w| w.set_node_up(node, true));
                     });
                 }
                 FaultEvent::BandwidthStep { at, link, bps } => {
-                    w.schedule_after(at, move |w| {
+                    w.fault_after(at, move |w| {
                         w.link_mut(link).params.bandwidth_bps = bps;
                     });
                 }
                 FaultEvent::DelayStep { at, link, delay } => {
-                    w.schedule_after(at, move |w| {
+                    w.fault_after(at, move |w| {
                         w.link_mut(link).params.delay = delay;
                     });
                 }
@@ -300,13 +301,13 @@ impl FaultPlan {
                     duration,
                     steps,
                 } => {
-                    w.schedule_after(at, move |w| {
+                    w.fault_after(at, move |w| {
                         let from = w.link_mut(link).params.bandwidth_bps;
                         for i in 1..=steps {
                             let frac = f64::from(i) / f64::from(steps);
                             let bps = from + (to_bps - from) * frac;
                             let when = duration.mul_f64(frac);
-                            w.schedule_after(when, move |w| {
+                            w.fault_after(when, move |w| {
                                 w.link_mut(link).params.bandwidth_bps = bps;
                             });
                         }
@@ -319,7 +320,7 @@ impl FaultPlan {
                     duration,
                     steps,
                 } => {
-                    w.schedule_after(at, move |w| {
+                    w.fault_after(at, move |w| {
                         let from = w.link_mut(link).params.delay;
                         for i in 1..=steps {
                             let frac = f64::from(i) / f64::from(steps);
@@ -329,7 +330,7 @@ impl FaultPlan {
                                 from - (from - to_delay).mul_f64(frac)
                             };
                             let when = duration.mul_f64(frac);
-                            w.schedule_after(when, move |w| {
+                            w.fault_after(when, move |w| {
                                 w.link_mut(link).params.delay = d;
                             });
                         }

@@ -78,17 +78,32 @@ impl Firewall {
                 self.established.insert((inside, outside));
                 Verdict::Accept
             }
-            Direction::OutsideToInside => match self.policy {
-                FirewallPolicy::Open => Verdict::Accept,
-                FirewallPolicy::StatefulOutbound | FirewallPolicy::Strict { .. } => {
-                    if self.established.contains(&(inside, outside)) {
-                        Verdict::Accept
-                    } else {
-                        Verdict::Drop
-                    }
+            Direction::OutsideToInside => {
+                if self.admits_inbound(inside, outside) {
+                    Verdict::Accept
+                } else {
+                    Verdict::Drop
                 }
-            },
+            }
         }
+    }
+
+    /// Would an `OutsideToInside` packet of this flow pass? Read-only, like
+    /// the inbound filter itself.
+    pub(crate) fn admits_inbound(&self, inside: SockAddr, outside: SockAddr) -> bool {
+        match self.policy {
+            FirewallPolicy::Open => true,
+            FirewallPolicy::StatefulOutbound | FirewallPolicy::Strict { .. } => {
+                self.is_established(inside, outside)
+            }
+        }
+    }
+
+    /// Has an outgoing packet of this flow been accepted? Flow state only
+    /// grows, so once true this stays true, and an `InsideToOutside`
+    /// filter of the flow accepts without changing anything.
+    pub(crate) fn is_established(&self, inside: SockAddr, outside: SockAddr) -> bool {
+        self.established.contains(&(inside, outside))
     }
 
     /// Number of tracked flows (diagnostics).

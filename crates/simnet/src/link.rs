@@ -56,7 +56,7 @@ impl LinkParams {
 }
 
 /// Counters for one link direction.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LinkStats {
     pub tx_packets: u64,
     pub tx_bytes: u64,
@@ -81,16 +81,54 @@ pub struct LinkDir {
     /// it (fault injection). Packets already propagating still arrive.
     pub up: bool,
     pub stats: LinkStats,
+    /// Instant of the latest admission. Hop fusion admits ahead of the
+    /// clock, so this may lie beyond the scheduler's `now`.
+    pub(crate) last_admit: SimTime,
+    /// Arrival events scheduled over this link that have not fired yet.
+    pub(crate) pending_arrivals: u32,
 }
 
 impl LinkDir {
-    /// Admit a packet to the queue. Returns `Some(delivery_time)` if the
-    /// packet is accepted (and occupies the wire), `None` if the drop-tail
-    /// queue is full.
-    pub fn admit(&mut self, now: SimTime, wire_len: u32) -> Option<SimTime> {
+    /// An idle, up link direction delivering to `to_node`'s interface
+    /// `to_iface`.
+    pub(crate) fn new(
+        params: LinkParams,
+        to_node: crate::world::NodeId,
+        to_iface: usize,
+    ) -> LinkDir {
+        LinkDir {
+            params,
+            to_node,
+            to_iface,
+            busy_until: SimTime::ZERO,
+            up: true,
+            stats: LinkStats::default(),
+            last_admit: SimTime::ZERO,
+            pending_arrivals: 0,
+        }
+    }
+
+    /// Would the drop-tail queue take `wire_len` more bytes at `now`?
+    pub(crate) fn admits(&self, now: SimTime, wire_len: u32) -> bool {
         let backlog_secs = self.busy_until.since(now).as_secs_f64();
         let backlog_bytes = backlog_secs * self.params.bandwidth_bps;
-        if backlog_bytes + wire_len as f64 > self.params.queue_bytes as f64 {
+        backlog_bytes + wire_len as f64 <= self.params.queue_bytes as f64
+    }
+
+    /// Admit a packet to the queue. Returns `Some(delivery_time)` if the
+    /// packet is accepted (and occupies the wire), `None` if the drop-tail
+    /// queue is full. Admissions must come in nondecreasing `now`: a link
+    /// has one clock, and an admission behind it would be queued against a
+    /// backlog from its own future.
+    pub fn admit(&mut self, now: SimTime, wire_len: u32) -> Option<SimTime> {
+        debug_assert!(
+            now >= self.last_admit,
+            "admission at {now:?} after one at {:?}: a link fused through a pure forwarder \
+             has a second feeder",
+            self.last_admit
+        );
+        self.last_admit = now;
+        if !self.admits(now, wire_len) {
             self.stats.queue_drops += 1;
             return None;
         }
@@ -109,14 +147,7 @@ mod tests {
     use crate::world::NodeId;
 
     fn dir(params: LinkParams) -> LinkDir {
-        LinkDir {
-            params,
-            to_node: NodeId(0),
-            to_iface: 0,
-            busy_until: SimTime::ZERO,
-            up: true,
-            stats: LinkStats::default(),
-        }
+        LinkDir::new(params, NodeId(0), 0)
     }
 
     #[test]
@@ -142,6 +173,15 @@ mod tests {
         // After the wire drains, packets are admitted again.
         let later = SimTime::ZERO + Duration::from_millis(2);
         assert!(d.admit(later, 1000).is_some());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "has a second feeder")]
+    fn admissions_going_back_in_time_fail_loudly() {
+        let mut d = dir(LinkParams::mbps(1.0, Duration::ZERO));
+        d.admit(SimTime::ZERO + Duration::from_millis(2), 100);
+        d.admit(SimTime::ZERO + Duration::from_millis(1), 100);
     }
 
     #[test]

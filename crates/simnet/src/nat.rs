@@ -154,6 +154,18 @@ impl Nat {
         SockAddr::new(self.ext_ip, port)
     }
 
+    /// The source [`outbound`](Self::outbound) would return for this
+    /// packet, if the call would change nothing: the mapping exists and
+    /// already records `dst`. Mappings and their remote sets only grow, so
+    /// a settled translation stays settled.
+    pub(crate) fn settled_outbound(&self, src: SockAddr, dst: SockAddr) -> Option<SockAddr> {
+        let port = *self.by_key.get(&self.map_key(src, dst))?;
+        self.by_external[&port]
+            .remotes
+            .contains(&dst)
+            .then_some(SockAddr::new(self.ext_ip, port))
+    }
+
     /// Translate an inbound packet addressed to `ext_port` from `src`.
     /// Returns the internal endpoint if the NAT's filtering rule admits the
     /// packet, `None` to drop it.

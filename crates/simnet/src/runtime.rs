@@ -3,8 +3,9 @@
 //! Simulated processes are real OS threads, but *exactly one* of them runs at
 //! any moment: the scheduler hands a baton to a task, and the task returns it
 //! when it blocks (parks), sleeps, or finishes. Combined with a totally
-//! ordered event queue (time, then insertion sequence) and seeded RNGs, every
-//! run of a simulation is bit-for-bit reproducible.
+//! ordered event queue (time, then scheduling instant, then insertion
+//! sequence) and seeded RNGs, every run of a simulation is bit-for-bit
+//! reproducible.
 //!
 //! The design mirrors classic conservative process-oriented simulators:
 //!
@@ -88,10 +89,14 @@ enum EventAction {
     /// Run an arbitrary closure on the scheduler thread.
     Call(Box<dyn FnOnce() + Send>),
     /// Invoke a pre-registered recurring callback ([`SchedHandle::
-    /// register_hook`]). Unlike `Call`, the event itself carries no
-    /// allocation — the hot packet-delivery path schedules one of these
-    /// per hop instead of boxing a closure.
-    Hook(usize),
+    /// register_hook`]) with an argument. Unlike `Call`, the event itself
+    /// carries no allocation — the hot packet-delivery path schedules one
+    /// of these per in-flight packet instead of boxing a closure.
+    Hook(usize, usize),
+    /// Like `Hook`, but a bookkeeping entry rather than a simulated event:
+    /// it replays a record at the position an elided event would have
+    /// had, and is not counted as a dispatched event.
+    Note(usize, usize),
 }
 
 /// Handle to a recurring callback registered with
@@ -101,16 +106,29 @@ enum EventAction {
 #[derive(Clone, Copy, Debug)]
 pub struct HookId(usize);
 
+/// One queued event, ordered by `(at, scheduled_at, seq)`. `scheduled_at`
+/// is the instant the event was scheduled at — `now` for everything except
+/// an event the world schedules ahead of time on behalf of an elided
+/// intermediate event (hop fusion), which carries the instant the elided
+/// event would have scheduled it at. Since `seq` grows with `now`, the key
+/// orders ordinary events exactly as insertion sequence alone would.
 struct EventEntry {
     at: SimTime,
+    scheduled_at: SimTime,
     seq: u64,
     action: EventAction,
+}
+
+impl EventEntry {
+    fn key(&self) -> (SimTime, SimTime, u64) {
+        (self.at, self.scheduled_at, self.seq)
+    }
 }
 
 // BinaryHeap is a max-heap; invert the ordering to pop the earliest event.
 impl PartialEq for EventEntry {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        self.key() == other.key()
     }
 }
 impl Eq for EventEntry {}
@@ -121,7 +139,7 @@ impl PartialOrd for EventEntry {
 }
 impl Ord for EventEntry {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (other.at, other.seq).cmp(&(self.at, self.seq))
+        other.key().cmp(&self.key())
     }
 }
 
@@ -314,6 +332,8 @@ struct TaskSlot {
 struct SchedState {
     now: SimTime,
     seq: u64,
+    /// Events dispatched by this scheduler (notes excluded).
+    dispatched: u64,
     next_task: u64,
     events: BinaryHeap<EventEntry>,
     runnable: VecDeque<TaskId>,
@@ -324,7 +344,7 @@ struct SchedState {
 }
 
 /// A registered recurring callback; the slot is `None` while it runs.
-type HookSlot = Option<Box<dyn FnMut() + Send>>;
+type HookSlot = Option<Box<dyn FnMut(usize) + Send>>;
 
 /// Shared core of the scheduler; cheap to clone via [`SchedHandle`].
 pub struct SchedCore {
@@ -401,6 +421,7 @@ impl Scheduler {
                 state: Mutex::new(SchedState {
                     now: SimTime::ZERO,
                     seq: 0,
+                    dispatched: 0,
                     next_task: 0,
                     events: BinaryHeap::new(),
                     runnable: VecDeque::new(),
@@ -494,20 +515,24 @@ impl Scheduler {
                         let ev = st.events.pop().unwrap();
                         debug_assert!(ev.at >= st.now, "time went backwards");
                         st.now = ev.at;
+                        if !matches!(ev.action, EventAction::Note(..)) {
+                            st.dispatched += 1;
+                        }
                         ev.action
                     }
                 }
             };
+            if let EventAction::Note(i, arg) = action {
+                self.call_hook(i, arg);
+                continue;
+            }
             HOST_EVENTS.fetch_add(1, Ordering::Relaxed);
             let t0 = std::time::Instant::now();
             match action {
                 EventAction::WakeTask(tid) => self.handle().wake_task(tid),
                 EventAction::Call(f) => f(),
-                EventAction::Hook(i) => {
-                    let mut f = self.core.hooks.lock()[i].take().expect("hook in use");
-                    f();
-                    self.core.hooks.lock()[i] = Some(f);
-                }
+                EventAction::Hook(i, arg) => self.call_hook(i, arg),
+                EventAction::Note(..) => unreachable!("notes are replayed above"),
             }
             HOST_EVENT_NS.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         }
@@ -531,6 +556,12 @@ impl Scheduler {
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.core.state.lock().now
+    }
+
+    fn call_hook(&self, i: usize, arg: usize) {
+        let mut f = self.core.hooks.lock()[i].take().expect("hook in use");
+        f(arg);
+        self.core.hooks.lock()[i] = Some(f);
     }
 
     fn finish_task(&self, tid: TaskId) {
@@ -560,18 +591,38 @@ impl SchedHandle {
         self.core.state.lock().now
     }
 
-    /// Schedule `f` to run on the scheduler thread at absolute time `at`
-    /// (clamped to be no earlier than now).
-    pub fn call_at(&self, at: SimTime, f: impl FnOnce() + Send + 'static) {
+    /// Events this scheduler has dispatched so far: wakes, calls and
+    /// hooks, not notes. Unlike the process-global [`host_work_counters`],
+    /// it counts one simulation only.
+    pub fn events_dispatched(&self) -> u64 {
+        self.core.state.lock().dispatched
+    }
+
+    /// Queue `action` at `at` (clamped to be no earlier than now), ordered
+    /// as if scheduled at `scheduled_at` (`None`: now).
+    fn push(&self, at: SimTime, scheduled_at: Option<SimTime>, action: EventAction) {
         let mut st = self.core.state.lock();
         let at = at.max(st.now);
+        let scheduled_at = scheduled_at.unwrap_or(st.now);
+        debug_assert!(
+            st.now <= scheduled_at && scheduled_at <= at,
+            "event scheduled as of {scheduled_at:?} for {at:?} at {:?}",
+            st.now
+        );
         let seq = st.seq;
         st.seq += 1;
         st.events.push(EventEntry {
             at,
+            scheduled_at,
             seq,
-            action: EventAction::Call(Box::new(f)),
+            action,
         });
+    }
+
+    /// Schedule `f` to run on the scheduler thread at absolute time `at`
+    /// (clamped to be no earlier than now).
+    pub fn call_at(&self, at: SimTime, f: impl FnOnce() + Send + 'static) {
+        self.push(at, None, EventAction::Call(Box::new(f)));
     }
 
     /// Schedule `f` to run after `d` of simulated time.
@@ -581,27 +632,44 @@ impl SchedHandle {
     }
 
     /// Register a recurring callback and get a handle for scheduling it.
-    /// The callback stays registered for the scheduler's lifetime.
-    pub fn register_hook(&self, f: impl FnMut() + Send + 'static) -> HookId {
+    /// The callback stays registered for the scheduler's lifetime; each
+    /// firing passes it the argument it was scheduled with.
+    pub fn register_hook(&self, f: impl FnMut(usize) + Send + 'static) -> HookId {
         let mut hooks = self.core.hooks.lock();
         hooks.push(Some(Box::new(f)));
         HookId(hooks.len() - 1)
     }
 
-    /// Schedule a registered hook to fire at absolute time `at` (clamped
-    /// to be no earlier than now). Allocation-free apart from amortized
-    /// event-heap growth; ties with other events break in schedule order,
-    /// exactly like `call_at`.
-    pub fn call_hook_at(&self, at: SimTime, hook: HookId) {
-        let mut st = self.core.state.lock();
-        let at = at.max(st.now);
-        let seq = st.seq;
-        st.seq += 1;
-        st.events.push(EventEntry {
-            at,
-            seq,
-            action: EventAction::Hook(hook.0),
-        });
+    /// Schedule a registered hook to fire with `arg` at absolute time `at`
+    /// (clamped to be no earlier than now). Allocation-free apart from
+    /// amortized event-heap growth. The event is ordered as if it had been
+    /// scheduled at `scheduled_at` (≥ now; `None`: now), so ties with other
+    /// events at `at` break by scheduling instant, then schedule order.
+    pub fn call_hook_at(
+        &self,
+        at: SimTime,
+        scheduled_at: Option<SimTime>,
+        hook: HookId,
+        arg: usize,
+    ) {
+        self.push(at, scheduled_at, EventAction::Hook(hook.0, arg));
+    }
+
+    /// Like [`call_hook_at`](Self::call_hook_at), but the firing is a note,
+    /// not an event: it takes its place in the event order (and advances
+    /// the clock to `at`) yet is not counted by [`events_dispatched`] or
+    /// the host work counters. The world uses notes to replay tracer
+    /// records of hops it forwarded without an event.
+    ///
+    /// [`events_dispatched`]: Self::events_dispatched
+    pub(crate) fn note_hook_at(
+        &self,
+        at: SimTime,
+        scheduled_at: SimTime,
+        hook: HookId,
+        arg: usize,
+    ) {
+        self.push(at, Some(scheduled_at), EventAction::Note(hook.0, arg));
     }
 
     /// Wake `tid` per unpark semantics.
@@ -852,16 +920,7 @@ pub mod ctx {
         }
         let (h, tid) = with_current(|h, tid| (h.clone(), tid));
         let at = h.now() + d;
-        {
-            let mut st = h.core.state.lock();
-            let seq = st.seq;
-            st.seq += 1;
-            st.events.push(EventEntry {
-                at,
-                seq,
-                action: EventAction::WakeTask(tid),
-            });
-        }
+        h.push(at, None, EventAction::WakeTask(tid));
         // A stray wake token could end the sleep early; loop on the clock.
         loop {
             park("sleep");
@@ -954,6 +1013,24 @@ mod tests {
         }
         sched.run();
         assert_eq!(*log.lock(), vec![3, 1, 2]);
+    }
+
+    #[test]
+    fn ties_break_by_scheduling_instant_and_notes_are_not_events() {
+        let sched = Scheduler::new();
+        let h = sched.handle();
+        let log: Arc<Mutex<Vec<usize>>> = Arc::new(Mutex::new(Vec::new()));
+        let l2 = Arc::clone(&log);
+        let hook = h.register_hook(move |arg| l2.lock().push(arg));
+        let ms = |n| SimTime::ZERO + Duration::from_millis(n);
+        // Scheduled first, but as of 3 ms: goes after the one scheduled now.
+        h.call_hook_at(ms(5), Some(ms(3)), hook, 1);
+        h.call_hook_at(ms(5), None, hook, 2);
+        h.note_hook_at(ms(4), ms(2), hook, 3);
+        sched.run();
+        assert_eq!(*log.lock(), vec![3, 2, 1]);
+        assert_eq!(h.events_dispatched(), 2, "the note is not an event");
+        assert_eq!(sched.now(), ms(5));
     }
 
     #[test]

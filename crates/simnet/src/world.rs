@@ -20,6 +20,7 @@ use crate::nat::{Nat, NatKind};
 use crate::packet::Packet;
 use crate::runtime::{HookId, SchedHandle};
 use crate::time::SimTime;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Identifier of a node in the world.
@@ -69,15 +70,29 @@ pub struct NodeState {
     pub ifaces: Vec<Iface>,
     pub routes: Vec<RouteEntry>,
     proto_state: HashMap<u8, Box<dyn Any + Send>>,
+    /// Has a protocol stack ever been installed here? Sticky: the state
+    /// itself is taken out while its stack runs.
+    has_stack: bool,
+}
+
+/// Longest-prefix match over a routing table.
+fn route_in(routes: &[RouteEntry], dst: Ip) -> Option<usize> {
+    routes
+        .iter()
+        .filter(|r| dst.in_prefix(r.prefix, r.len))
+        .max_by_key(|r| r.len)
+        .map(|r| r.iface)
 }
 
 impl NodeState {
     fn route_for(&self, dst: Ip) -> Option<usize> {
-        self.routes
-            .iter()
-            .filter(|r| dst.in_prefix(r.prefix, r.len))
-            .max_by_key(|r| r.len)
-            .map(|r| r.iface)
+        route_in(&self.routes, dst)
+    }
+
+    /// A pure forwarder: a gateway with exactly two interfaces (so each of
+    /// its outgoing links has one feeder) and no protocol stack of its own.
+    fn is_pure_forwarder(&self) -> bool {
+        self.ifaces.len() == 2 && !self.has_stack && matches!(self.kind, NodeKind::Gateway { .. })
     }
 
     /// Does this node own address `ip`?
@@ -87,10 +102,13 @@ impl NodeState {
 }
 
 /// Packet disposition counters for the whole world.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WorldStats {
     pub delivered: u64,
     pub forwarded: u64,
+    /// Of `forwarded`, the hops fused into the emitting event (forwarded
+    /// through a pure forwarder without an event of their own).
+    pub fused: u64,
     pub drop_no_route: u64,
     pub drop_firewall: u64,
     pub drop_nat: u64,
@@ -125,13 +143,17 @@ type ProtoDispatch = Arc<dyn Fn(&mut World, NodeId, Packet) + Send + Sync>;
 pub struct World {
     sched: SchedHandle,
     self_ref: Weak<Mutex<World>>,
-    /// In-flight packets ordered by (arrival time, schedule order). Each
-    /// entry is paired with one `Hook` event in the scheduler, so pops
-    /// track event firings one-to-one; keeping the packets here instead
-    /// of inside boxed event closures makes the per-hop cost a heap push.
-    deliveries: BinaryHeap<PendingDelivery>,
-    delivery_seq: u64,
+    /// In-flight packets. The scheduler event that delivers one carries
+    /// its slot index; keeping the packets here instead of inside boxed
+    /// event closures makes the per-hop cost a heap push.
+    in_flight: Vec<Option<InFlight>>,
+    free_slots: Vec<usize>,
     delivery_hook: HookId,
+    /// Replays the tracer record of a fused hop (see [`World::transmit`]).
+    note_hook: HookId,
+    /// Pending firing instants of installed [`crate::FaultPlan`] items; the
+    /// earliest is the fault horizon, which no fused hop may reach.
+    fault_times: BinaryHeap<Reverse<SimTime>>,
     nodes: Vec<NodeState>,
     links: Vec<LinkDir>,
     dispatch: HashMap<u8, ProtoDispatch>,
@@ -143,38 +165,41 @@ pub struct World {
 /// Where an in-flight packet lands when its delivery event fires.
 enum Delivery {
     /// Came over a link: run gateway processing, then deliver or forward.
-    Arrive { node: NodeId, iface: usize },
+    Arrive(LinkDirId),
     /// Loopback / own-address send: skip the forwarding engine.
-    Local { node: NodeId },
+    Local(NodeId),
 }
 
-/// One in-flight packet, ordered like the scheduler's event heap:
-/// earliest arrival first, schedule order breaking ties — so popping the
-/// minimum on each hook firing dispatches exactly the packet that event
-/// was scheduled for.
-struct PendingDelivery {
-    at: SimTime,
-    seq: u64,
+/// One in-flight packet.
+struct InFlight {
     to: Delivery,
     pkt: Packet,
+    /// Tracer records of the hops fused into this flight, in hop order.
+    /// Empty unless a tracer is installed.
+    notes: Vec<HopNote>,
 }
 
-impl PartialEq for PendingDelivery {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
+/// The `Forwarded` record of a fused hop: the packet's header as it left
+/// the gateway, replayed at the hop's arrival instant `at` by a note keyed
+/// like the elided arrival event.
+struct HopNote {
+    at: SimTime,
+    scheduled_at: SimTime,
+    src: SockAddr,
+    dst: SockAddr,
 }
-impl Eq for PendingDelivery {}
-impl PartialOrd for PendingDelivery {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for PendingDelivery {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Inverted: BinaryHeap is a max-heap, we pop the earliest.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
+
+/// Outcome of a gateway's forwarding step for one packet.
+enum Step {
+    /// Forward out of this interface (`None`: no route after inbound NAT,
+    /// which is counted as forwarded before the drop).
+    Forward(Option<usize>),
+    /// Addressed to the gateway itself.
+    Local,
+    Drop(TraceKind),
+    /// Only when asked for a settled step: the verdict could still change,
+    /// or taking it would change gateway state.
+    Unsettled,
 }
 
 /// Shared handle to the world plus its scheduler: the object every socket,
@@ -190,23 +215,25 @@ impl Net {
     pub fn new(sched: SchedHandle, seed: u64) -> Net {
         let world = Arc::new_cyclic(|weak: &Weak<Mutex<World>>| {
             let hook_ref = weak.clone();
-            let delivery_hook = sched.register_hook(move || {
+            let delivery_hook = sched.register_hook(move |slot| {
                 if let Some(m) = hook_ref.upgrade() {
-                    let mut w = m.lock();
-                    if let Some(pd) = w.deliveries.pop() {
-                        match pd.to {
-                            Delivery::Arrive { node, iface } => w.arrive(node, iface, pd.pkt),
-                            Delivery::Local { node } => w.local_deliver(node, pd.pkt),
-                        }
-                    }
+                    m.lock().deliver(slot);
+                }
+            });
+            let note_ref = weak.clone();
+            let note_hook = sched.register_hook(move |slot| {
+                if let Some(m) = note_ref.upgrade() {
+                    m.lock().replay_note(slot);
                 }
             });
             Mutex::new(World {
                 sched: sched.clone(),
                 self_ref: weak.clone(),
-                deliveries: BinaryHeap::new(),
-                delivery_seq: 0,
+                in_flight: Vec::new(),
+                free_slots: Vec::new(),
                 delivery_hook,
+                note_hook,
+                fault_times: BinaryHeap::new(),
                 nodes: Vec::new(),
                 links: Vec::new(),
                 dispatch: HashMap::new(),
@@ -273,6 +300,7 @@ impl World {
             ifaces: Vec::new(),
             routes: Vec::new(),
             proto_state: HashMap::new(),
+            has_stack: false,
         });
         id
     }
@@ -290,24 +318,10 @@ impl World {
     ) -> (usize, usize) {
         let ab = LinkDirId(self.links.len());
         let iface_b = self.nodes[b.0].ifaces.len();
-        self.links.push(LinkDir {
-            params: a_to_b,
-            to_node: b,
-            to_iface: iface_b,
-            busy_until: SimTime::ZERO,
-            up: true,
-            stats: LinkStats::default(),
-        });
+        self.links.push(LinkDir::new(a_to_b, b, iface_b));
         let ba = LinkDirId(self.links.len());
         let iface_a = self.nodes[a.0].ifaces.len();
-        self.links.push(LinkDir {
-            params: b_to_a,
-            to_node: a,
-            to_iface: iface_a,
-            busy_until: SimTime::ZERO,
-            up: true,
-            stats: LinkStats::default(),
-        });
+        self.links.push(LinkDir::new(b_to_a, a, iface_a));
         self.nodes[a.0].ifaces.push(Iface {
             link_out: ab,
             peer: b,
@@ -399,15 +413,37 @@ impl World {
 
     /// Mutable access to one link direction (fault injection: loss bursts,
     /// parameter changes).
+    ///
+    /// Hop fusion admits packets to a link ahead of the clock, up to the
+    /// next [`FaultPlan`](crate::FaultPlan) instant. A link mutated while
+    /// packets are in flight must therefore be changed through a
+    /// `FaultPlan`; reading it, or changing it while the world is idle, is
+    /// fine. Debug builds assert that no fused admission on the link lies
+    /// beyond now.
     pub fn link_mut(&mut self, id: LinkDirId) -> &mut LinkDir {
+        self.assert_no_admission_ahead(id);
         &mut self.links[id.0]
+    }
+
+    /// A link changed at `now` must not hold a fused admission from
+    /// later: that admission would have seen the change hop-by-hop.
+    fn assert_no_admission_ahead(&self, id: LinkDirId) {
+        debug_assert!(
+            self.links[id.0].last_admit <= self.sched.now(),
+            "link {id:?} changed at {:?} under a fused admission at {:?}; \
+             change links mid-run through a FaultPlan",
+            self.sched.now(),
+            self.links[id.0].last_admit
+        );
     }
 
     /// Administrative up/down of one link direction. While down, every
     /// packet offered to the link is dropped (counted as
     /// [`WorldStats::drop_link_down`]); packets already propagating still
-    /// arrive, like photons in flight on a cut fibre.
+    /// arrive, like photons in flight on a cut fibre. Mid-run, go through a
+    /// [`FaultPlan`](crate::FaultPlan) (see [`World::link_mut`]).
     pub fn set_link_up(&mut self, id: LinkDirId, up: bool) {
+        self.assert_no_admission_ahead(id);
         self.links[id.0].up = up;
     }
 
@@ -440,7 +476,7 @@ impl World {
     /// view of a host or relay crash.
     pub fn set_node_up(&mut self, node: NodeId, up: bool) {
         for id in self.node_links(node) {
-            self.links[id.0].up = up;
+            self.set_link_up(id, up);
         }
     }
 
@@ -473,6 +509,22 @@ impl World {
     /// simulation clock.
     pub fn install_faults(&mut self, plan: crate::fault::FaultPlan) {
         plan.install(self);
+    }
+
+    /// Schedule a fault action after `d`. Its instant bounds hop fusion
+    /// (the fault horizon) until it has fired.
+    pub(crate) fn fault_after(
+        &mut self,
+        d: std::time::Duration,
+        f: impl FnOnce(&mut World) + Send + 'static,
+    ) {
+        let at = self.sched.now() + d;
+        self.fault_times.push(Reverse(at));
+        self.schedule_at(at, move |w| {
+            let fired = w.fault_times.pop();
+            debug_assert_eq!(fired, Some(Reverse(w.sched.now())));
+            f(w);
+        });
     }
 
     /// Deterministic RNG for protocol use (loss draws, NAT ports...).
@@ -527,7 +579,9 @@ impl World {
     }
 
     pub fn put_proto_state(&mut self, node: NodeId, proto: u8, st: Box<dyn Any + Send>) {
-        self.nodes[node.0].proto_state.insert(proto, st);
+        let n = &mut self.nodes[node.0];
+        n.proto_state.insert(proto, st);
+        n.has_stack = true;
     }
 
     /// Schedule `f(world)` at absolute simulated time `at`.
@@ -549,21 +603,77 @@ impl World {
         self.schedule_at(self.sched.now() + d, f);
     }
 
-    /// Queue `pkt` for dispatch at `at` (≥ now). The paired hook event
-    /// shares the scheduler's tie-break sequence, so delivery order is
-    /// identical to scheduling a closure per hop — without the per-hop
-    /// allocation.
-    fn push_delivery(&mut self, at: SimTime, to: Delivery, pkt: Packet) {
-        let seq = self.delivery_seq;
-        self.delivery_seq += 1;
-        self.deliveries.push(PendingDelivery { at, seq, to, pkt });
-        self.sched.call_hook_at(at, self.delivery_hook);
+    /// Park `pkt` in a free in-flight slot.
+    fn park_packet(&mut self, to: Delivery, pkt: Packet, notes: Vec<HopNote>) -> usize {
+        let flight = Some(InFlight { to, pkt, notes });
+        match self.free_slots.pop() {
+            Some(slot) => {
+                self.in_flight[slot] = flight;
+                slot
+            }
+            None => {
+                self.in_flight.push(flight);
+                self.in_flight.len() - 1
+            }
+        }
+    }
+
+    /// Delivery hook: the in-flight packet in `slot` lands.
+    fn deliver(&mut self, slot: usize) {
+        let InFlight { to, pkt, notes } = self.in_flight[slot].take().expect("packet in flight");
+        debug_assert!(notes.is_empty(), "fused-hop records replay before arrival");
+        self.free_slots.push(slot);
+        match to {
+            Delivery::Arrive(link) => {
+                let l = &mut self.links[link.0];
+                l.pending_arrivals -= 1;
+                let (node, iface) = (l.to_node, l.to_iface);
+                self.arrive(node, iface, pkt);
+            }
+            Delivery::Local(node) => self.local_deliver(node, pkt),
+        }
+    }
+
+    /// Note hook: replay the next fused-hop record of the packet in `slot`,
+    /// with the header it had when it left that hop's gateway.
+    fn replay_note(&mut self, slot: usize) {
+        let World {
+            in_flight, tracer, ..
+        } = self;
+        let f = in_flight[slot].as_mut().expect("packet in flight");
+        let note = f.notes.remove(0);
+        if let Some(t) = tracer {
+            let header = (f.pkt.src, f.pkt.dst);
+            (f.pkt.src, f.pkt.dst) = (note.src, note.dst);
+            t(note.at, TraceKind::Forwarded, &f.pkt);
+            (f.pkt.src, f.pkt.dst) = header;
+        }
     }
 
     fn trace(&self, kind: TraceKind, pkt: &Packet) {
         if let Some(t) = &self.tracer {
             t(self.sched.now(), kind, pkt);
         }
+    }
+
+    /// Count and trace a dropped packet.
+    fn drop_packet(&mut self, kind: TraceKind, pkt: &Packet) {
+        let s = &mut self.stats;
+        let counter = match kind {
+            TraceKind::DropNoRoute => &mut s.drop_no_route,
+            TraceKind::DropFirewall => &mut s.drop_firewall,
+            TraceKind::DropNat => &mut s.drop_nat,
+            TraceKind::DropLoss => &mut s.drop_loss,
+            TraceKind::DropQueue => &mut s.drop_queue,
+            TraceKind::DropNotLocal => &mut s.drop_not_local,
+            TraceKind::DropNoHandler => &mut s.drop_no_handler,
+            TraceKind::DropLinkDown => &mut s.drop_link_down,
+            TraceKind::Sent | TraceKind::Forwarded | TraceKind::Delivered => {
+                unreachable!("{kind:?} is not a drop")
+            }
+        };
+        *counter += 1;
+        self.trace(kind, pkt);
     }
 
     // ---------------- forwarding engine ----------------
@@ -574,8 +684,9 @@ impl World {
         self.trace(TraceKind::Sent, &pkt);
         // Local delivery (loopback or own address).
         if self.nodes[node.0].owns(pkt.dst.ip) {
-            let at = self.sched.now();
-            self.push_delivery(at, Delivery::Local { node }, pkt);
+            let slot = self.park_packet(Delivery::Local(node), pkt, Vec::new());
+            let now = self.sched.now();
+            self.sched.call_hook_at(now, None, self.delivery_hook, slot);
             return;
         }
         self.emit(node, pkt);
@@ -584,76 +695,170 @@ impl World {
     /// Route + transmit one packet out of `node` (already past middlebox
     /// processing if any).
     fn emit(&mut self, node: NodeId, pkt: Packet) {
-        let Some(iface) = self.nodes[node.0].route_for(pkt.dst.ip) else {
-            self.stats.drop_no_route += 1;
-            self.trace(TraceKind::DropNoRoute, &pkt);
-            return;
-        };
-        let link_id = self.nodes[node.0].ifaces[iface].link_out;
+        match self.nodes[node.0].route_for(pkt.dst.ip) {
+            Some(iface) => self.transmit(node, iface, pkt),
+            None => self.drop_packet(TraceKind::DropNoRoute, &pkt),
+        }
+    }
+
+    /// Transmit `pkt` out of `node`'s interface `iface`, then schedule its
+    /// arrival at the far end.
+    ///
+    /// Hop fusion: while the far end is a pure forwarder whose step for
+    /// this packet is settled (see [`World::fuse_hop`]), that step runs
+    /// right here, at the arrival instant, instead of in an event of its
+    /// own; only the first hop that is not fusable gets an event. Each
+    /// elided event would have been scheduled at the previous hop's
+    /// arrival instant, and the scheduler orders the remaining event as of
+    /// that instant. With a tracer installed, every fused hop leaves a note
+    /// that replays its `Forwarded` record at its arrival instant, in the
+    /// position the elided event held (DESIGN.md §5d).
+    fn transmit(&mut self, node: NodeId, iface: usize, mut pkt: Packet) {
         let now = self.sched.now();
         let wire_len = pkt.wire_len();
+        let mut link_id = self.nodes[node.0].ifaces[iface].link_out;
         let link = &mut self.links[link_id.0];
         if !link.up {
-            self.stats.drop_link_down += 1;
-            self.trace(TraceKind::DropLinkDown, &pkt);
-            return;
+            return self.drop_packet(TraceKind::DropLinkDown, &pkt);
         }
-        let Some(deliver_at) = link.admit(now, wire_len) else {
-            self.stats.drop_queue += 1;
-            self.trace(TraceKind::DropQueue, &pkt);
-            return;
+        let Some(mut arrival) = link.admit(now, wire_len) else {
+            return self.drop_packet(TraceKind::DropQueue, &pkt);
         };
         let loss = link.params.loss;
         if loss > 0.0 && self.rng.random::<f64>() < loss {
             self.links[link_id.0].stats.lost_packets += 1;
-            self.stats.drop_loss += 1;
-            self.trace(TraceKind::DropLoss, &pkt);
-            return;
+            return self.drop_packet(TraceKind::DropLoss, &pkt);
         }
-        let (to_node, to_iface) = {
-            let l = &self.links[link_id.0];
-            (l.to_node, l.to_iface)
-        };
-        self.push_delivery(
-            deliver_at,
-            Delivery::Arrive {
-                node: to_node,
-                iface: to_iface,
-            },
-            pkt,
-        );
+        let mut scheduled_at = now;
+        let mut notes = Vec::new();
+        while let Some(out) = self.fuse_hop(link_id, arrival, &mut pkt) {
+            self.stats.forwarded += 1;
+            self.stats.fused += 1;
+            if self.tracer.is_some() {
+                notes.push(HopNote {
+                    at: arrival,
+                    scheduled_at,
+                    src: pkt.src,
+                    dst: pkt.dst,
+                });
+            }
+            let next = self.links[out.0]
+                .admit(arrival, wire_len)
+                .expect("fused hop checked the queue");
+            (link_id, scheduled_at, arrival) = (out, arrival, next);
+        }
+        self.links[link_id.0].pending_arrivals += 1;
+        let slot = self.park_packet(Delivery::Arrive(link_id), pkt, notes);
+        for n in &self.in_flight[slot].as_ref().expect("just parked").notes {
+            self.sched
+                .note_hook_at(n.at, n.scheduled_at, self.note_hook, slot);
+        }
+        self.sched
+            .call_hook_at(arrival, Some(scheduled_at), self.delivery_hook, slot);
+    }
+
+    /// Can the far end of `link` forward `pkt`, arriving at `at`, right now
+    /// instead of in an arrival event at `at`? It can when its step is
+    /// independent of everything that may happen before `at`:
+    ///
+    /// * the far end is a pure forwarder, so the outgoing link's only
+    ///   feeder is this gateway, and no hop-by-hop arrival over `link` is
+    ///   pending, so this packet's admission is the gateway's next one;
+    /// * `at` lies before the fault horizon, so no link changes first;
+    /// * the gateway step is settled (no new flow, NAT allocation, drop or
+    ///   local delivery), and the outgoing link is a different, up,
+    ///   loss-free link whose queue takes the packet at `at`.
+    ///
+    /// On success `pkt` carries the header the gateway gives it and the
+    /// outgoing link is returned (the caller admits it); otherwise `pkt` is
+    /// untouched.
+    fn fuse_hop(&mut self, link: LinkDirId, at: SimTime, pkt: &mut Packet) -> Option<LinkDirId> {
+        let l = &self.links[link.0];
+        if l.pending_arrivals != 0 {
+            return None;
+        }
+        if self.fault_times.peek().is_some_and(|h| at >= h.0) {
+            return None;
+        }
+        let (node, iface) = (l.to_node, l.to_iface);
+        if !self.nodes[node.0].is_pure_forwarder() {
+            return None;
+        }
+        let header = (pkt.src, pkt.dst);
+        if let Step::Forward(Some(out)) = self.gateway_step(node, iface, pkt, true) {
+            let out_link = self.nodes[node.0].ifaces[out].link_out;
+            let o = &self.links[out_link.0];
+            if out != iface && o.up && o.params.loss == 0.0 && o.admits(at, pkt.wire_len()) {
+                return Some(out_link);
+            }
+        }
+        (pkt.src, pkt.dst) = header;
+        None
     }
 
     /// A packet arrived at `node` on interface `iface`.
     fn arrive(&mut self, node: NodeId, iface: usize, mut pkt: Packet) {
-        let in_trust = self.nodes[node.0].ifaces[iface].trust;
-        let is_gateway = matches!(self.nodes[node.0].kind, NodeKind::Gateway { .. });
+        if !matches!(self.nodes[node.0].kind, NodeKind::Gateway { .. }) {
+            if self.nodes[node.0].owns(pkt.dst.ip) {
+                self.local_deliver(node, pkt);
+            } else {
+                self.drop_packet(TraceKind::DropNotLocal, &pkt);
+            }
+            return;
+        }
+        match self.gateway_step(node, iface, &mut pkt, false) {
+            Step::Forward(out) => {
+                self.stats.forwarded += 1;
+                self.trace(TraceKind::Forwarded, &pkt);
+                match out {
+                    Some(out) => self.transmit(node, out, pkt),
+                    None => self.drop_packet(TraceKind::DropNoRoute, &pkt),
+                }
+            }
+            Step::Local => self.local_deliver(node, pkt),
+            Step::Drop(kind) => self.drop_packet(kind, &pkt),
+            Step::Unsettled => unreachable!("only a settled step can be unsettled"),
+        }
+    }
 
-        if is_gateway {
-            // 1. Inbound NAT translation: packets from the untrusted side
-            //    addressed to an active mapping are rewritten to the
-            //    internal endpoint (DNAT happens before filtering).
-            if in_trust == Trust::Outside {
-                let translated = match &self.nodes[node.0].kind {
-                    NodeKind::Gateway { nat: Some(nat), .. } if pkt.dst.ip == nat.external_ip() => {
-                        nat.inbound(pkt.dst.port, pkt.src)
-                    }
-                    _ => None,
-                };
-                if let Some(internal) = translated {
+    /// Gateway `node`'s forwarding step for `pkt`, which arrived on
+    /// `iface`: NAT translation and firewall filtering, rewriting `pkt`'s
+    /// header. With `settled_only` the step changes no gateway state and
+    /// answers [`Step::Unsettled`] unless it is a forward that any later
+    /// arrival of the same packet would repeat exactly: conntrack sets and
+    /// NAT tables only grow, so an accepted flow stays accepted and an
+    /// existing mapping stays put.
+    fn gateway_step(
+        &mut self,
+        node: NodeId,
+        iface: usize,
+        pkt: &mut Packet,
+        settled_only: bool,
+    ) -> Step {
+        let World { nodes, rng, .. } = self;
+        let NodeState {
+            addrs,
+            kind,
+            ifaces,
+            routes,
+            ..
+        } = &mut nodes[node.0];
+        let NodeKind::Gateway { firewall, nat } = kind else {
+            unreachable!("gateway step on a host")
+        };
+        let in_trust = ifaces[iface].trust;
+        // 1. Inbound NAT translation: packets from the untrusted side
+        //    addressed to an active mapping are rewritten to the internal
+        //    endpoint (DNAT happens before filtering).
+        if in_trust == Trust::Outside {
+            if let Some(nat) = nat.as_ref().filter(|n| pkt.dst.ip == n.external_ip()) {
+                if let Some(internal) = nat.inbound(pkt.dst.port, pkt.src) {
                     pkt.dst = internal;
                     // Filter on the inside view of the flow.
-                    if self.gateway_filter(node, Direction::OutsideToInside, pkt.dst, pkt.src)
-                        == Verdict::Drop
-                    {
-                        self.stats.drop_firewall += 1;
-                        self.trace(TraceKind::DropFirewall, &pkt);
-                        return;
+                    if !firewall.admits_inbound(pkt.dst, pkt.src) {
+                        return Step::Drop(TraceKind::DropFirewall);
                     }
-                    self.stats.forwarded += 1;
-                    self.trace(TraceKind::Forwarded, &pkt);
-                    self.emit(node, pkt);
-                    return;
+                    return Step::Forward(route_in(routes, pkt.dst.ip));
                 }
                 // NAT present but no admitting mapping: packets aimed at
                 // the NAT allocation range are silently dropped, as real
@@ -661,92 +866,52 @@ impl World {
                 // would elicit an RST and break splicing retries). Lower
                 // ports may belong to gateway-hosted services (relay,
                 // SOCKS) and fall through to local delivery.
-                let nat_range_hit = match &self.nodes[node.0].kind {
-                    NodeKind::Gateway { nat: Some(nat), .. } => {
-                        pkt.dst.ip == nat.external_ip() && pkt.dst.port >= crate::nat::NAT_PORT_BASE
-                    }
-                    _ => false,
-                };
-                if nat_range_hit {
-                    self.stats.drop_nat += 1;
-                    self.trace(TraceKind::DropNat, &pkt);
-                    return;
+                if pkt.dst.port >= crate::nat::NAT_PORT_BASE {
+                    return Step::Drop(TraceKind::DropNat);
                 }
             }
+        }
 
-            // 2. Local delivery to a gateway-hosted service.
-            if self.nodes[node.0].owns(pkt.dst.ip) {
-                self.local_deliver(node, pkt);
-                return;
-            }
+        // 2. Local delivery to a gateway-hosted service.
+        if addrs.contains(&pkt.dst.ip) {
+            return Step::Local;
+        }
 
-            // 3. Forwarding across the gateway.
-            let Some(out_iface) = self.nodes[node.0].route_for(pkt.dst.ip) else {
-                self.stats.drop_no_route += 1;
-                self.trace(TraceKind::DropNoRoute, &pkt);
-                return;
-            };
-            let out_trust = self.nodes[node.0].ifaces[out_iface].trust;
-            match (in_trust, out_trust) {
-                (Trust::Inside, Trust::Outside) => {
-                    if self.gateway_filter(node, Direction::InsideToOutside, pkt.src, pkt.dst) == Verdict::Drop {
-                        self.stats.drop_firewall += 1;
-                        self.trace(TraceKind::DropFirewall, &pkt);
-                        return;
-                    }
-                    // Outbound NAT translation (SNAT after filtering).
-                    let new_src = {
-                        // Split borrows: take the RNG by raw parts.
-                        let World { nodes, rng, .. } = self;
-                        match &mut nodes[node.0].kind {
-                            NodeKind::Gateway { nat: Some(nat), .. } => {
-                                Some(nat.outbound(pkt.src, pkt.dst, rng))
-                            }
-                            _ => None,
-                        }
-                    };
-                    if let Some(s) = new_src {
-                        pkt.src = s;
+        // 3. Forwarding across the gateway.
+        let Some(out) = route_in(routes, pkt.dst.ip) else {
+            return Step::Drop(TraceKind::DropNoRoute);
+        };
+        match (in_trust, ifaces[out].trust) {
+            (Trust::Inside, Trust::Outside) if settled_only => {
+                if !firewall.is_established(pkt.src, pkt.dst) {
+                    return Step::Unsettled;
+                }
+                if let Some(nat) = nat {
+                    match nat.settled_outbound(pkt.src, pkt.dst) {
+                        Some(src) => pkt.src = src,
+                        None => return Step::Unsettled,
                     }
                 }
-                (Trust::Outside, Trust::Inside)
-                    // Un-NATed packet crossing inwards (site without NAT):
-                    // plain conntrack filtering.
-                    if self.gateway_filter(node, Direction::OutsideToInside, pkt.dst, pkt.src) == Verdict::Drop => {
-                        self.stats.drop_firewall += 1;
-                        self.trace(TraceKind::DropFirewall, &pkt);
-                        return;
-                    }
-                // Same-trust forwarding (router inside a site or on the
-                // backbone): no filtering.
-                _ => {}
             }
-            self.stats.forwarded += 1;
-            self.trace(TraceKind::Forwarded, &pkt);
-            self.emit(node, pkt);
-            return;
+            (Trust::Inside, Trust::Outside) => {
+                if firewall.filter(Direction::InsideToOutside, pkt.src, pkt.dst) == Verdict::Drop {
+                    return Step::Drop(TraceKind::DropFirewall);
+                }
+                // Outbound NAT translation (SNAT after filtering).
+                if let Some(nat) = nat {
+                    pkt.src = nat.outbound(pkt.src, pkt.dst, rng);
+                }
+            }
+            // Un-NATed packet crossing inwards (site without NAT): plain
+            // conntrack filtering.
+            (Trust::Outside, Trust::Inside) if !firewall.admits_inbound(pkt.dst, pkt.src) => {
+                return Step::Drop(TraceKind::DropFirewall);
+            }
+            // Same-trust forwarding (router inside a site or on the
+            // backbone): no filtering.
+            _ => {}
         }
-
-        // Plain host.
-        if self.nodes[node.0].owns(pkt.dst.ip) {
-            self.local_deliver(node, pkt);
-        } else {
-            self.stats.drop_not_local += 1;
-            self.trace(TraceKind::DropNotLocal, &pkt);
-        }
-    }
-
-    fn gateway_filter(
-        &mut self,
-        node: NodeId,
-        dir: Direction,
-        inside: SockAddr,
-        outside: SockAddr,
-    ) -> Verdict {
-        match &mut self.nodes[node.0].kind {
-            NodeKind::Gateway { firewall, .. } => firewall.filter(dir, inside, outside),
-            NodeKind::Host => Verdict::Accept,
-        }
+        Step::Forward(Some(out))
     }
 
     fn local_deliver(&mut self, node: NodeId, pkt: Packet) {
@@ -754,10 +919,7 @@ impl World {
         self.trace(TraceKind::Delivered, &pkt);
         match self.dispatch.get(&pkt.proto).cloned() {
             Some(f) => f(self, node, pkt),
-            None => {
-                self.stats.drop_no_handler += 1;
-                self.trace(TraceKind::DropNoHandler, &pkt);
-            }
+            None => self.drop_packet(TraceKind::DropNoHandler, &pkt),
         }
     }
 }
@@ -1007,5 +1169,259 @@ mod tests {
         net.with(|w| w.send_from(a, pkt(a_addr, b_addr, 100)));
         sched.run();
         net.with(|w| assert_eq!(w.stats.drop_firewall, 1));
+    }
+
+    // ---------------- hop fusion ----------------
+
+    type Record = (u64, TraceKind, SockAddr, SockAddr);
+    type Records = Arc<Mutex<Vec<Record>>>;
+
+    fn record_into(w: &mut World, records: &Records) {
+        let r = Arc::clone(records);
+        w.set_tracer(Box::new(move |t, kind, p| {
+            r.lock().push((t.as_nanos(), kind, p.src, p.dst));
+        }));
+    }
+
+    /// One inert extra interface on every gateway: no hop is fusable.
+    fn make_inert(w: &mut World) {
+        let gateways: Vec<NodeId> = (0..w.node_count())
+            .map(NodeId)
+            .filter(|&n| matches!(w.node(n).kind, NodeKind::Gateway { .. }))
+            .collect();
+        for (i, gw) in gateways.into_iter().enumerate() {
+            let stub = w.add_host(format!("stub{i}"), vec![Ip::new(10, 250, 0, i as u8)]);
+            let p = LinkParams::mbps(1.0, Duration::ZERO);
+            w.connect(gw, stub, p);
+        }
+    }
+
+    /// host — gateway — backbone — gateway — host, as in the paper's
+    /// path shape; with `relay` the backbone gets a third (public host)
+    /// interface and stops being a pure forwarder. Site `a` is behind a
+    /// full-cone NAT when `nat`. Receivers echo every packet whose port is
+    /// 7 back to its (translated) source.
+    fn grid_path(relay: bool, nat: bool) -> (Scheduler, Net, SockAddr, SockAddr, NodeId) {
+        let sched = Scheduler::new();
+        let net = Net::new(sched.handle(), 5);
+        let (a, a_addr, b_addr) = net.with(|w| {
+            let wan = LinkParams::mbps(2.0, Duration::from_millis(3));
+            let site_a = if nat {
+                crate::topology::SiteSpec::natted("a", 1, NatKind::FullCone, wan)
+            } else {
+                crate::topology::SiteSpec::open("a", 1, wan)
+            };
+            let sites = [site_a, crate::topology::SiteSpec::open("b", 1, wan)];
+            let mut grid = crate::topology::Grid::build(w, &sites);
+            if relay {
+                grid.add_public_host(w, "relay");
+            }
+            w.register_proto(
+                proto::UDP,
+                Arc::new(|w: &mut World, node: NodeId, p: Packet| {
+                    if p.dst.port == 7 {
+                        w.send_from(node, pkt(p.dst, p.src, 60));
+                    }
+                }),
+            );
+            let a_addr = SockAddr::new(grid.sites[0].host_ips[0], 5000);
+            let b_addr = SockAddr::new(grid.sites[1].host_ips[0], 7);
+            (grid.sites[0].hosts[0], a_addr, b_addr)
+        });
+        (sched, net, a_addr, b_addr, a)
+    }
+
+    #[test]
+    fn settled_flow_costs_one_backbone_forward_and_one_delivery_per_packet() {
+        let (sched, net, a_addr, _, a) = grid_path(true, false);
+        let b_addr = SockAddr::new(net.with(|w| w.addr_of(w.find_node("b-0").unwrap())), 9);
+        // The first packet of the flow opens conntrack at the sending
+        // gateway, hop by hop.
+        net.with(|w| w.send_from(a, pkt(a_addr, b_addr, 500)));
+        sched.run();
+        let h = sched.handle();
+        let (events0, stats0) = (h.events_dispatched(), net.with(|w| w.stats));
+        assert_eq!(events0, 3, "gateway, backbone and delivery events");
+        assert_eq!(
+            stats0.fused, 1,
+            "the receiving gateway admits replies of any flow"
+        );
+        const N: u64 = 20;
+        net.with(|w| {
+            for _ in 0..N {
+                w.send_from(a, pkt(a_addr, b_addr, 500));
+            }
+        });
+        sched.run();
+        let stats = net.with(|w| w.stats);
+        assert_eq!(h.events_dispatched() - events0, 2 * N);
+        assert_eq!(stats.fused - stats0.fused, 2 * N, "both site gateways fuse");
+        assert_eq!(stats.forwarded - stats0.forwarded, 3 * N);
+        assert_eq!(stats.delivered - stats0.delivered, N);
+    }
+
+    /// Run a NATted request/reply exchange over the gateway–backbone–
+    /// gateway path (a two-interface backbone, so replies fuse three hops
+    /// ending in the NAT's inbound translation).
+    fn nat_exchange(inert: bool, tracer: bool) -> (u64, WorldStats, Vec<Record>) {
+        let (sched, net, a_addr, b_addr, a) = grid_path(false, true);
+        let records: Records = Arc::default();
+        net.with(|w| {
+            if inert {
+                make_inert(w);
+            }
+            if tracer {
+                record_into(w, &records);
+            }
+            for i in 0..30u64 {
+                w.schedule_after(Duration::from_micros(1_700 * i), move |w| {
+                    w.send_from(a, pkt(a_addr, b_addr, 300))
+                });
+            }
+        });
+        sched.run();
+        let records = std::mem::take(&mut *records.lock());
+        (
+            sched.handle().events_dispatched(),
+            net.with(|w| w.stats),
+            records,
+        )
+    }
+
+    #[test]
+    fn tracer_leaves_event_count_and_records_unchanged() {
+        let (events, stats, _) = nat_exchange(false, false);
+        let (traced_events, traced_stats, records) = nat_exchange(false, true);
+        let (_, hop_stats, hop_records) = nat_exchange(true, true);
+        assert_eq!(traced_events, events, "notes are not events");
+        assert_eq!(traced_stats, stats);
+        assert!(
+            stats.fused > 60,
+            "replies fuse through three gateways: {stats:?}"
+        );
+        assert_eq!(hop_stats.fused, 0);
+        assert_eq!(WorldStats { fused: 0, ..stats }, hop_stats);
+        assert_eq!(records, hop_records);
+        // Each fused hop's record carries the header it left that gateway
+        // with: the backbone saw replies addressed to the NAT, not to the
+        // translated inside endpoint.
+        assert!(records
+            .iter()
+            .any(|&(_, k, _, dst)| k == TraceKind::Forwarded
+                && !dst.ip.is_private()
+                && dst.port >= crate::nat::NAT_PORT_BASE));
+    }
+
+    /// Two hosts joined through one same-trust gateway (a pure forwarder
+    /// from the first packet on); 120-byte packets take 1.12 ms a hop.
+    fn through_gateway(
+        inert: bool,
+    ) -> (
+        Scheduler,
+        Net,
+        NodeId,
+        LinkDirId,
+        Arc<Mutex<Vec<&'static str>>>,
+    ) {
+        let sched = Scheduler::new();
+        let net = Net::new(sched.handle(), 1);
+        let log: Arc<Mutex<Vec<&'static str>>> = Arc::default();
+        let l2 = Arc::clone(&log);
+        let (a, out) = net.with(|w| {
+            let a = w.add_host("a", vec![Ip::new(1, 0, 0, 1)]);
+            let gw = w.add_gateway(
+                "gw",
+                Ip::new(1, 0, 0, 254),
+                Ip::new(2, 0, 0, 254),
+                FirewallPolicy::Open,
+                None,
+            );
+            let b = w.add_host("b", vec![Ip::new(2, 0, 0, 1)]);
+            let p = LinkParams::mbps(1.0, Duration::from_millis(1));
+            let (ia, g_in) = w.connect(a, gw, p);
+            let (g_out, ib) = w.connect(gw, b, p);
+            w.default_route(a, ia);
+            w.default_route(b, ib);
+            w.route(gw, Ip::new(1, 0, 0, 0), 8, g_in);
+            w.route(gw, Ip::new(2, 0, 0, 0), 8, g_out);
+            if inert {
+                make_inert(w);
+            }
+            w.register_proto(
+                proto::UDP,
+                Arc::new(move |_w, _n, _p| l2.lock().push("delivered")),
+            );
+            (a, w.iface_link(gw, g_out))
+        });
+        (sched, net, a, out, log)
+    }
+
+    fn a_to_b() -> Packet {
+        pkt(
+            SockAddr::new(Ip::new(1, 0, 0, 1), 1),
+            SockAddr::new(Ip::new(2, 0, 0, 1), 2),
+            100,
+        )
+    }
+
+    /// The fused delivery (due at 2.24 ms) is ordered as if scheduled when
+    /// the packet reached the gateway (1.12 ms), so an event for the same
+    /// instant scheduled in between (at 0.5 ms) still goes first.
+    #[test]
+    fn fused_arrival_keeps_its_hop_by_hop_tie_position() {
+        for inert in [false, true] {
+            let (sched, net, a, _, log) = through_gateway(inert);
+            let l2 = Arc::clone(&log);
+            net.with(|w| {
+                w.send_from(a, a_to_b());
+                w.schedule_after(Duration::from_micros(500), move |w| {
+                    w.schedule_at(SimTime::ZERO + Duration::from_micros(2_240), move |_| {
+                        l2.lock().push("tie")
+                    });
+                });
+            });
+            sched.run();
+            assert_eq!(*log.lock(), ["tie", "delivered"], "inert={inert}");
+            assert_eq!(net.with(|w| w.stats.fused), u64::from(!inert));
+        }
+    }
+
+    #[test]
+    fn no_hop_fuses_across_the_fault_horizon() {
+        let (sched, net, a, _, log) = through_gateway(false);
+        net.with(|w| {
+            // Unrelated link; the plan item still bounds fusion until 1 ms.
+            w.install_faults(crate::FaultPlan::new().flap(
+                Duration::from_millis(1),
+                LinkDirId(0),
+                Duration::ZERO,
+            ));
+            w.send_from(a, a_to_b());
+        });
+        sched.run();
+        assert_eq!(
+            net.with(|w| w.stats),
+            WorldStats {
+                delivered: 1,
+                forwarded: 1,
+                ..WorldStats::default()
+            }
+        );
+        net.with(|w| w.send_from(a, a_to_b()));
+        sched.run();
+        assert_eq!(net.with(|w| w.stats.fused), 1, "no fault pending: fused");
+        assert_eq!(log.lock().len(), 2);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "change links mid-run through a FaultPlan")]
+    fn changing_a_link_under_a_fused_admission_fails_loudly() {
+        let (_sched, net, a, out, _) = through_gateway(false);
+        net.with(|w| {
+            w.send_from(a, a_to_b());
+            // The gateway's admission to `out` is already booked at 1.12 ms.
+            w.link_mut(out).params.bandwidth_bps *= 2.0;
+        });
     }
 }
