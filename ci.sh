@@ -6,7 +6,10 @@
 #   golden  golden wire-trace gate: re-run the traced scenarios and
 #           byte-diff their digests against tests/golden/*.trace.
 #           `./ci.sh --bless` (or `--stage golden --bless`) regenerates
-#           the snapshots instead of failing (commit the diff).
+#           the snapshots instead of failing (commit the diff). Where
+#           `taskset` exists, the traces are generated again pinned to
+#           one CPU and diffed against the same snapshots, and the
+#           simnet unit tests run pinned the same way.
 #   bench   quick bench-regression gate: every bench with a committed
 #           BENCH_*.json baseline runs --quick, then check_bench --all
 #           verifies the fresh set matches the baseline set one-to-one
@@ -76,41 +79,69 @@ stage_clippy() {
   cargo clippy --workspace -- -D warnings
 }
 
-stage_golden() {
-  ensure_build
+# Regenerate the golden traces into dir $1, running every scenario under
+# the optional command prefix in the remaining arguments.
+gen_traces() { # dir [prefix...]
+  local dir=$1; shift
+  mkdir -p "$dir"
   # Each entry: trace-name :: command. The digest file hashes every packet
   # event of every run in the binary, so any wire-level divergence fails.
   run_trace() { # name cmd...
     local name=$1; shift
     echo "--- $name: $*"
-    NETGRID_TRACE="$FRESH/$name.trace" "$@" > /dev/null
+    NETGRID_TRACE="$dir/$name.trace" "$@" > /dev/null
   }
-  run_trace fig9_quick "$BIN/fig9_amsterdam_rennes" --quick
-  run_trace dbg_bw "$BIN/dbg_bw" --total 2097152
-  run_trace mux_pair "$BIN/bench_mux" --pair
+  run_trace fig9_quick "$@" "$BIN/fig9_amsterdam_rennes" --quick
+  run_trace dbg_bw "$@" "$BIN/dbg_bw" --total 2097152
+  run_trace mux_pair "$@" "$BIN/bench_mux" --pair
   # table1's golden is the binary's full stdout (method matrix +
   # establishment outcomes), which pins the same simulations at the
   # application level.
-  echo "--- table1: $BIN/table1_matrix (stdout snapshot)"
-  "$BIN/table1_matrix" > "$FRESH/table1.trace"
+  echo "--- table1: $* $BIN/table1_matrix (stdout snapshot)"
+  "$@" "$BIN/table1_matrix" > "$dir/table1.trace"
+}
 
+# Byte-diff the traces in dir $1 against tests/golden/; returns 1 on a diff.
+diff_traces() { # dir label
   local fail=0 t
   for t in fig9_quick dbg_bw mux_pair table1; do
-    if [ "$BLESS" = 1 ]; then
-      cp "$FRESH/$t.trace" "$GOLD/$t.trace"
-      echo "blessed $GOLD/$t.trace"
-    elif ! cmp -s "$GOLD/$t.trace" "$FRESH/$t.trace"; then
-      echo "GOLDEN TRACE DIFF: $t"
-      diff "$GOLD/$t.trace" "$FRESH/$t.trace" | head -20 || true
+    if ! cmp -s "$GOLD/$t.trace" "$1/$t.trace"; then
+      echo "GOLDEN TRACE DIFF ($2): $t"
+      diff "$GOLD/$t.trace" "$1/$t.trace" | head -20 || true
       fail=1
     else
-      echo "golden $t: identical"
+      echo "golden $t ($2): identical"
     fi
   done
-  if [ "$fail" = 1 ]; then
+  return "$fail"
+}
+
+stage_golden() {
+  ensure_build
+  gen_traces "$FRESH"
+  local t
+  if [ "$BLESS" = 1 ]; then
+    for t in fig9_quick dbg_bw mux_pair table1; do
+      cp "$FRESH/$t.trace" "$GOLD/$t.trace"
+      echo "blessed $GOLD/$t.trace"
+    done
+  elif ! diff_traces "$FRESH" "all CPUs"; then
     echo "wire traces diverged from tests/golden/. If the change is intended,"
     echo "re-run './ci.sh --bless' and commit the updated snapshots."
     return 1
+  fi
+  # The simulation must not depend on how many cores the host gives it:
+  # the same traces again on one CPU, and the simulator's unit tests.
+  if command -v taskset > /dev/null; then
+    gen_traces "$FRESH/one_cpu" taskset -c 0
+    if ! diff_traces "$FRESH/one_cpu" "one CPU"; then
+      echo "wire traces on one CPU diverged from tests/golden/"
+      return 1
+    fi
+    echo "--- taskset -c 0 cargo test -q -p gridsim-net --release --lib"
+    taskset -c 0 cargo test -q -p gridsim-net --release --lib
+  else
+    echo "golden: taskset not found; skipping the one-CPU re-run"
   fi
 }
 

@@ -32,7 +32,6 @@ struct RunOut {
 fn run_one(nodes: usize) -> RunOut {
     let sim = Sim::new(44);
     trace::install(&sim);
-    netgrid::walk_gauge_reset();
     let net = sim.net();
     let wan = LinkParams::mbps(4.0, Duration::from_millis(10));
     let (srv, clients, servers) = net.with(|w| {
@@ -135,7 +134,7 @@ fn run_one(nodes: usize) -> RunOut {
     RunOut {
         pairs: nodes as u64,
         walks,
-        peak_walks: netgrid::walk_gauge_peak(),
+        peak_walks: env.walk_gauge_peak(),
         setup_ms: last.since(start).as_secs_f64() * 1e3,
     }
 }

@@ -31,7 +31,7 @@ use crate::port::{
 };
 use crate::profile::{ConnectivityProfile, FirewallClass, NatClass};
 use crate::relay::{RelayClient, RelayDelegate, RoutedStream};
-use crate::session::{Channel, Claim, LinkIo, LinkTable, RecoveryRole, SharedLink};
+use crate::session::{Channel, Claim, LinkIo, LinkTable, RecoveryRole, SharedLink, WalkGauge};
 use crate::socks::socks_connect;
 use crate::tune::{PathControlConfig, PathController};
 use crate::wire::{read_frame, FrameReader, FrameWriter};
@@ -111,6 +111,9 @@ pub struct GridEnv {
     /// (DESIGN.md §11). Off by default: fault-free wire traces stay
     /// byte-identical unless a deployment opts in.
     pub path_control: Option<PathControlConfig>,
+    /// Walk concurrency gauge shared by every node joined through this
+    /// env (and its clones).
+    walks: Arc<WalkGauge>,
 }
 
 impl GridEnv {
@@ -126,6 +129,7 @@ impl GridEnv {
             resend_budget: crate::port::RESEND_BUDGET,
             ack_bytes: crate::port::ACK_BYTES_DEFAULT,
             path_control: None,
+            walks: Arc::default(),
         }
     }
 
@@ -183,6 +187,18 @@ impl GridEnv {
     pub fn with_path_control(mut self, cfg: PathControlConfig) -> Self {
         self.path_control = Some(cfg);
         self
+    }
+
+    /// Reset this deployment's walk concurrency gauge (call between storm
+    /// scenarios sharing one env).
+    pub fn walk_gauge_reset(&self) {
+        self.walks.reset();
+    }
+
+    /// Highest number of Figure-4 walks in flight at once, across the
+    /// nodes joined through this env, since it was created or last reset.
+    pub fn walk_gauge_peak(&self) -> u64 {
+        self.walks.peak()
     }
 }
 
@@ -343,7 +359,7 @@ impl GridNode {
             nat_gate: NatGate::default(),
             pending_splices: Mutex::new(HashMap::new()),
             ack_cells: Mutex::new(HashMap::new()),
-            links: LinkTable::new(),
+            links: LinkTable::new(Arc::clone(&env.walks)),
             open_frames: AtomicU64::new(0),
             rx: RxShared::new(),
         });

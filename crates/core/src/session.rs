@@ -662,35 +662,54 @@ pub(crate) struct LinkTable {
     entries: Mutex<HashMap<LinkKey, Entry>>,
     /// Fresh Figure-4 walks run (establishment dedupe probe).
     walks: AtomicU64,
+    /// The deployment's walk concurrency gauge.
+    gauge: Arc<WalkGauge>,
     /// Completed link-level recoveries (each re-established ONE link and
     /// replayed every attached channel).
     recoveries: AtomicU64,
 }
 
-/// Process-wide walk concurrency gauge, across every node in the
-/// simulation: single-flight is per-`LinkKey`, so walks to *different*
-/// peers run concurrently, and a storm bench proves it by watching the
-/// peak here. Purely observational — never read by protocol code.
-static WALKS_IN_FLIGHT: AtomicU64 = AtomicU64::new(0);
-static WALKS_PEAK: AtomicU64 = AtomicU64::new(0);
-
-/// Reset the process-wide walk concurrency gauge (call between storm
-/// scenarios sharing one process).
-pub fn walk_gauge_reset() {
-    WALKS_IN_FLIGHT.store(0, Ordering::Relaxed);
-    WALKS_PEAK.store(0, Ordering::Relaxed);
+/// Walk concurrency gauge of one deployment, shared by every node joined
+/// through the same [`crate::GridEnv`]: single-flight is per-`LinkKey`, so
+/// walks to *different* peers run concurrently, and a storm bench proves it
+/// by watching the peak here. Purely observational — never read by
+/// protocol code.
+#[derive(Default)]
+pub(crate) struct WalkGauge {
+    in_flight: AtomicU64,
+    peak: AtomicU64,
 }
 
-/// Highest number of Figure-4 walks in flight at once since the last
-/// [`walk_gauge_reset`], across all nodes.
-pub fn walk_gauge_peak() -> u64 {
-    WALKS_PEAK.load(Ordering::Relaxed)
+impl WalkGauge {
+    fn start(&self) {
+        let now = self.in_flight.fetch_add(1, Ordering::Relaxed) + 1;
+        self.peak.fetch_max(now, Ordering::Relaxed);
+    }
+
+    fn done(&self) {
+        // Saturating: a reset mid-walk must not wrap the gauge.
+        let _ = self
+            .in_flight
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
+                Some(v.saturating_sub(1))
+            });
+    }
+
+    pub fn reset(&self) {
+        self.in_flight.store(0, Ordering::Relaxed);
+        self.peak.store(0, Ordering::Relaxed);
+    }
+
+    pub fn peak(&self) -> u64 {
+        self.peak.load(Ordering::Relaxed)
+    }
 }
 
 impl LinkTable {
-    pub fn new() -> LinkTable {
+    pub fn new(gauge: Arc<WalkGauge>) -> LinkTable {
         LinkTable {
             entries: Mutex::new(HashMap::new()),
+            gauge,
             walks: AtomicU64::new(0),
             recoveries: AtomicU64::new(0),
         }
@@ -752,17 +771,13 @@ impl LinkTable {
 
     pub fn note_walk(&self) {
         self.walks.fetch_add(1, Ordering::Relaxed);
-        let now = WALKS_IN_FLIGHT.fetch_add(1, Ordering::Relaxed) + 1;
-        WALKS_PEAK.fetch_max(now, Ordering::Relaxed);
+        self.gauge.start();
     }
 
     /// The walk counted by the matching [`note_walk`] finished (either
     /// way); keeps the concurrency gauge honest.
     pub fn walk_done(&self) {
-        // Saturating: a reset mid-walk must not wrap the gauge.
-        let _ = WALKS_IN_FLIGHT.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-            Some(v.saturating_sub(1))
-        });
+        self.gauge.done();
     }
 
     pub fn walks(&self) -> u64 {

@@ -1,8 +1,7 @@
 //! Deterministic cooperative runtime.
 //!
 //! Simulated processes are real OS threads, but *exactly one* of them runs at
-//! any moment: the scheduler hands a baton to a task, and the task returns it
-//! when it blocks (parks), sleeps, or finishes. Combined with a totally
+//! any moment: the thread that holds the baton. Combined with a totally
 //! ordered event queue (time, then scheduling instant, then insertion
 //! sequence) and seeded RNGs, every run of a simulation is bit-for-bit
 //! reproducible.
@@ -13,17 +12,27 @@
 //! * Inside a process, [`crate::ctx`] functions (`now`, `sleep`, `park`) block
 //!   the process in *simulated* time.
 //! * Protocol code (packet delivery, retransmit timers) runs as scheduled
-//!   closure events on the scheduler thread, never concurrently with a task.
+//!   closure events between task slices, never concurrently with a task.
 //! * A [`Waker`] moves a parked task back to the run queue; wakes delivered to
 //!   a running task are remembered (`unpark` semantics), so the standard
 //!   `while !condition { park() }` loop is race-free.
+//!
+//! There is no scheduler thread: the baton moves by *direct handoff*
+//! (DESIGN.md §5e). A task that parks, yields, sleeps or finishes runs the
+//! scheduler loop on its own thread, dispatching due events until the loop
+//! grants a slice. A grant back to the caller just returns; a grant to
+//! another task opens that task's gate and parks the caller on its own. A
+//! stop (idle, deadlock, time limit, panic) goes back to the thread in
+//! [`Scheduler::run_until`]. Event code runs with the task context cleared
+//! on whatever thread dispatches it, so [`ctx::in_task`] is false there.
 
 use parking_lot::Mutex;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::thread::Thread;
+use std::time::{Duration, Instant};
 
 use crate::time::SimTime;
 
@@ -43,9 +52,10 @@ pub fn host_work_counters() -> (u64, u64) {
     )
 }
 
-/// Host nanoseconds spent (granting task slices — handoff plus the slice
-/// body, dispatching events) since process start. Splits the scheduler's
-/// wall clock into its two cost centers for the datapath benchmarks.
+/// Host nanoseconds spent (in task slices — from each grant, including the
+/// wake-up of the granted thread, to the task's next yield; dispatching
+/// events) since process start. Splits the simulator's wall clock into its
+/// two cost centers for the datapath benchmarks.
 pub fn host_work_ns() -> (u64, u64) {
     (
         HOST_SLICE_NS.load(Ordering::Relaxed),
@@ -55,9 +65,9 @@ pub fn host_work_ns() -> (u64, u64) {
 
 /// Park-reason histogram: how many times tasks actually parked (wake-token
 /// misses only), keyed by the `ctx::park` reason string. Observational —
-/// the profiling side of the slice counters: each entry is a task handoff
-/// round trip, the dominant host cost of the simulator on small-core
-/// machines, attributed to the wait that caused it.
+/// the profiling side of the slice counters: each entry is a task handoff,
+/// the dominant host cost of the simulator on small-message workloads,
+/// attributed to the wait that caused it.
 static PARK_STATS: Mutex<Option<HashMap<&'static str, u64>>> = Mutex::new(None);
 
 fn note_park(reason: &'static str) {
@@ -86,7 +96,7 @@ pub struct TaskId(pub u64);
 enum EventAction {
     /// Wake a parked task (used by `sleep`).
     WakeTask(TaskId),
-    /// Run an arbitrary closure on the scheduler thread.
+    /// Run an arbitrary closure outside task context.
     Call(Box<dyn FnOnce() + Send>),
     /// Invoke a pre-registered recurring callback ([`SchedHandle::
     /// register_hook`]) with an argument. Unlike `Call`, the event itself
@@ -154,161 +164,35 @@ enum TaskState {
     Finished,
 }
 
-/// Per-task baton used to hand execution back and forth between the
-/// scheduler thread and the task thread.
+/// One thread's gate: the flag a task thread (or the thread in
+/// [`Scheduler::run_until`]) waits on until another thread hands it the
+/// baton.
 ///
 /// The handoff is the hot path of the whole simulator — every park, wake,
-/// yield, and event-driven task slice crosses it twice — so it is built on
-/// a single atomic with a spin-then-park wait. In the common ping-pong
-/// (task yields, scheduler processes a couple of queue events, grants the
-/// same task again) both sides catch the transition inside the spin window
-/// and a handoff costs ~100 ns of shared-memory traffic instead of two
-/// futex sleep/wake round trips. Exactly one task thread is ever spinning
-/// (the one in a handoff), so the spin cannot oversubscribe the host.
+/// yield and event-driven slice that switches tasks crosses one gate — so
+/// it costs one store and one `unpark`. The waiter parks at once, without
+/// spinning: the thread that opens a gate parks on its own right after, so
+/// the host only ever has the woken thread to run. A spinning waiter would
+/// instead take a core from the thread it waits for; on two cores a
+/// 1,000-iteration spin before parking cost `rpc_storm` all of the gain of
+/// the direct handoff. std's park token makes an open that lands before
+/// the waiter parks safe: its park returns at once.
+#[derive(Default)]
 struct Baton {
-    state: AtomicU32,
-    /// The parked side's thread handles, registered before waiting so the
-    /// other side can `unpark` it (std's token semantics make a too-early
-    /// unpark safe: the next park returns immediately).
-    sched_thread: Mutex<Option<std::thread::Thread>>,
-    task_thread: Mutex<Option<std::thread::Thread>>,
-}
-
-/// Task thread must wait.
-const BATON_HELD: u32 = 0;
-/// Task thread may run.
-const BATON_GO: u32 = 1;
-/// Task thread yielded back to the scheduler.
-const BATON_YIELDED: u32 = 2;
-/// Task thread finished (or panicked).
-const BATON_DONE: u32 = 3;
-
-/// Baton spin windows, calibrated once at startup.
-///
-/// The two sides of a handoff have very different wait profiles, so they
-/// get different spin budgets:
-///
-/// * `sched`: the scheduler in `grant_and_wait`, waiting for the running
-///   task to yield back. While it spins, exactly one other thread (the
-///   task) is doing real work, so the spin never oversubscribes a ≥2-core
-///   host. The window is sized to cover a typical task slice plus the
-///   futex wake latency of a task that had gone to sleep (~5–25 µs), so
-///   the yield-back lands in the spin phase as a ~100 ns cache-line
-///   transfer instead of a sched_yield/futex round trip (~10–25 µs on
-///   older or throttled kernels).
-/// * `task`: a task in `yield_and_wait`/`wait_first`, waiting for its next
-///   grant. That grant may be far away (the task is parked on I/O), and
-///   meanwhile another task plus the scheduler may both be active, so a
-///   long spin here *steals* a core from the thread doing real work. The
-///   short window only covers the common immediate re-grant (scheduler
-///   pops a delivery event and grants the same task again within a few
-///   µs), then the thread goes straight to the futex.
-///
-/// `pause` latency spans 2–50 ns across x86/ARM generations, so iteration
-/// counts are calibrated from a timed burst rather than hard-coded. On a
-/// single-core host both windows are zero (the partner cannot run while we
-/// spin) and the yield phase below is the fast path.
-struct SpinCfg {
-    sched: u32,
-    task: u32,
-    yields: u32,
-}
-
-fn spin_cfg() -> &'static SpinCfg {
-    static CFG: std::sync::OnceLock<SpinCfg> = std::sync::OnceLock::new();
-    CFG.get_or_init(|| {
-        let multi = std::thread::available_parallelism().is_ok_and(|n| n.get() > 1);
-        if !multi {
-            return SpinCfg {
-                sched: 0,
-                task: 0,
-                yields: 200,
-            };
-        }
-        // Time a burst of pauses to convert "µs of patience" into
-        // iterations. Clamp defensively: a preemption mid-burst inflates
-        // the measurement, which would only make us spin less, not more.
-        const BURST: u32 = 10_000;
-        let t0 = std::time::Instant::now();
-        for _ in 0..BURST {
-            std::hint::spin_loop();
-        }
-        let per_iter_ns = (t0.elapsed().as_nanos() as f64 / BURST as f64).clamp(0.5, 100.0);
-        let iters = |us: f64| ((us * 1000.0 / per_iter_ns) as u32).max(64);
-        let env_us = |key: &str, default: f64| {
-            std::env::var(key)
-                .ok()
-                .and_then(|v| v.parse::<f64>().ok())
-                .unwrap_or(default)
-        };
-        SpinCfg {
-            sched: iters(env_us("NETGRID_SPIN_SCHED_US", 40.0)),
-            task: iters(env_us("NETGRID_SPIN_TASK_US", 15.0)),
-            yields: 0,
-        }
-    })
+    open: AtomicBool,
 }
 
 impl Baton {
-    fn new() -> Arc<Self> {
-        Arc::new(Baton {
-            state: AtomicU32::new(BATON_HELD),
-            sched_thread: Mutex::new(None),
-            task_thread: Mutex::new(None),
-        })
+    /// Hand the baton to `waiter`, the thread that waits on this gate.
+    fn pass(&self, waiter: &Thread) {
+        self.open.store(true, Ordering::Release);
+        waiter.unpark();
     }
 
-    /// Spin briefly, then yield the core, then park, until `state` is
-    /// something other than `not`.
-    fn await_change(&self, not: u32, spins: u32) -> u32 {
-        let yields = spin_cfg().yields;
-        let mut tries = 0u32;
-        loop {
-            let s = self.state.load(Ordering::Acquire);
-            if s != not {
-                return s;
-            }
-            if tries < spins {
-                std::hint::spin_loop();
-            } else if tries < spins + yields {
-                std::thread::yield_now();
-            } else {
-                std::thread::park();
-            }
-            tries += 1;
-        }
-    }
-
-    /// Scheduler side: let the task run, then wait until it yields or finishes.
-    fn grant_and_wait(&self) -> u32 {
-        *self.sched_thread.lock() = Some(std::thread::current());
-        self.state.store(BATON_GO, Ordering::Release);
-        if let Some(t) = self.task_thread.lock().as_ref() {
-            t.unpark();
-        }
-        self.await_change(BATON_GO, spin_cfg().sched)
-    }
-
-    /// Task side: give the baton back and wait for the next grant.
-    fn yield_and_wait(&self) {
-        self.state.store(BATON_YIELDED, Ordering::Release);
-        if let Some(t) = self.sched_thread.lock().as_ref() {
-            t.unpark();
-        }
-        self.await_change(BATON_YIELDED, spin_cfg().task);
-    }
-
-    /// Task side: wait for the first grant (start of the task body).
-    fn wait_first(&self) {
-        *self.task_thread.lock() = Some(std::thread::current());
-        self.await_change(BATON_HELD, spin_cfg().task);
-    }
-
-    /// Task side: mark the task done and release the scheduler.
-    fn finish(&self) {
-        self.state.store(BATON_DONE, Ordering::Release);
-        if let Some(t) = self.sched_thread.lock().as_ref() {
-            t.unpark();
+    /// Wait for the baton, then close the gate behind us.
+    fn wait(&self) {
+        while !self.open.swap(false, Ordering::Acquire) {
+            std::thread::park();
         }
     }
 }
@@ -321,7 +205,10 @@ struct TaskSlot {
     state: TaskState,
     /// Park/unpark token: a wake delivered while the task is not blocked.
     notified: bool,
+    /// The task's gate and OS thread.
     baton: Arc<Baton>,
+    thread: Thread,
+    /// Taken when the task finishes, to be joined by the next baton holder.
     join_handle: Option<std::thread::JoinHandle<()>>,
     /// Tasks waiting for this one to finish.
     joiners: Vec<TaskId>,
@@ -334,13 +221,50 @@ struct SchedState {
     seq: u64,
     /// Events dispatched by this scheduler (notes excluded).
     dispatched: u64,
+    /// Slices granted by this scheduler, and how many of them woke a
+    /// different OS thread than the one that granted them.
+    slices: u64,
+    switches: u64,
+    /// When the running task's slice was granted (host clock).
+    slice_start: Instant,
     next_task: u64,
     events: BinaryHeap<EventEntry>,
     runnable: VecDeque<TaskId>,
     tasks: HashMap<TaskId, TaskSlot>,
-    live_tasks: usize,
-    /// First panic observed in a task; resumed by the scheduler loop.
+    /// First panic observed in a task or an event; stops the run and is
+    /// resumed by `run_until`.
     panic: Option<Box<dyn std::any::Any + Send>>,
+    /// Time limit of the current `run_until`, and why its loop stopped.
+    limit: SimTime,
+    outcome: Option<RunOutcome>,
+    /// The thread waiting in `run_until` on the driver gate.
+    driver: Option<Thread>,
+    /// Threads of finished tasks, joined by the next baton holder.
+    exited: Vec<std::thread::JoinHandle<()>>,
+}
+
+impl SchedState {
+    /// Wake `tid` per unpark semantics.
+    fn wake(&mut self, tid: TaskId) {
+        let Some(slot) = self.tasks.get_mut(&tid) else {
+            return;
+        };
+        match slot.state {
+            TaskState::Blocked => {
+                slot.state = TaskState::Runnable;
+                slot.notified = false;
+                self.runnable.push_back(tid);
+            }
+            TaskState::Runnable | TaskState::Running => slot.notified = true,
+            TaskState::Finished => {}
+        }
+    }
+
+    /// The running task is giving up the baton: close its slice's clock.
+    fn end_slice(&self) {
+        let ns = self.slice_start.elapsed().as_nanos() as u64;
+        HOST_SLICE_NS.fetch_add(ns, Ordering::Relaxed);
+    }
 }
 
 /// A registered recurring callback; the slot is `None` while it runs.
@@ -354,6 +278,8 @@ pub struct SchedCore {
     /// slot is taken for the duration of the call (hooks never re-enter
     /// themselves — events only fire from the scheduler loop).
     hooks: Mutex<Vec<HookSlot>>,
+    /// Gate of the thread waiting in `run_until`.
+    driver_gate: Baton,
 }
 
 /// A cloneable handle to the scheduler, used to schedule events and wake
@@ -396,8 +322,21 @@ pub enum RunOutcome {
     Deadlock(Vec<(String, &'static str)>),
 }
 
+/// A slice granted by the scheduler loop: the task's id, gate and thread.
+/// The loop returns `None` instead when the run stops; the state's
+/// `outcome` (or `panic`) says why.
+type Grant = (TaskId, Arc<Baton>, Thread);
+
+/// The calling thread's task: set while a task body runs, cleared while
+/// its thread dispatches events.
+struct TaskCtx {
+    handle: SchedHandle,
+    tid: TaskId,
+    baton: Arc<Baton>,
+}
+
 thread_local! {
-    static CURRENT: std::cell::RefCell<Option<(SchedHandle, TaskId)>> =
+    static CURRENT: std::cell::RefCell<Option<TaskCtx>> =
         const { std::cell::RefCell::new(None) };
 }
 
@@ -422,14 +361,21 @@ impl Scheduler {
                     now: SimTime::ZERO,
                     seq: 0,
                     dispatched: 0,
+                    slices: 0,
+                    switches: 0,
+                    slice_start: Instant::now(),
                     next_task: 0,
                     events: BinaryHeap::new(),
                     runnable: VecDeque::new(),
                     tasks: HashMap::new(),
-                    live_tasks: 0,
                     panic: None,
+                    limit: SimTime::MAX,
+                    outcome: None,
+                    driver: None,
+                    exited: Vec::new(),
                 }),
                 hooks: Mutex::new(Vec::new()),
+                driver_gate: Baton::default(),
             }),
         }
     }
@@ -461,81 +407,28 @@ impl Scheduler {
     }
 
     /// Drive the simulation until it is idle, a deadlock is detected, or
-    /// simulated time would exceed `limit`.
+    /// simulated time would exceed `limit`. The caller runs the scheduler
+    /// loop up to its first grant, then waits for whichever thread finds
+    /// the stop; the threads of tasks that finished are joined by then.
     pub fn run_until(&self, limit: SimTime) -> RunOutcome {
-        loop {
-            // Run every runnable task to its next yield point.
-            loop {
-                let (tid, baton) = {
-                    let mut st = self.core.state.lock();
-                    if let Some(p) = st.panic.take() {
-                        drop(st);
-                        std::panic::resume_unwind(p);
-                    }
-                    match st.runnable.pop_front() {
-                        Some(tid) => {
-                            let slot = st.tasks.get_mut(&tid).expect("runnable task exists");
-                            slot.state = TaskState::Running;
-                            (tid, Arc::clone(&slot.baton))
-                        }
-                        None => break,
-                    }
-                };
-                HOST_SLICES.fetch_add(1, Ordering::Relaxed);
-                let t0 = std::time::Instant::now();
-                let end = baton.grant_and_wait();
-                HOST_SLICE_NS.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                if end == BATON_DONE {
-                    self.finish_task(tid);
-                }
-            }
-            // Advance to the next event.
-            let action = {
-                let mut st = self.core.state.lock();
-                if let Some(p) = st.panic.take() {
-                    drop(st);
-                    std::panic::resume_unwind(p);
-                }
-                match st.events.peek() {
-                    None => {
-                        let stuck: Vec<(String, &'static str)> = st
-                            .tasks
-                            .values()
-                            .filter(|t| t.state == TaskState::Blocked && !t.daemon)
-                            .map(|t| (t.name.clone(), t.blocked_on))
-                            .collect();
-                        return if stuck.is_empty() {
-                            RunOutcome::Idle
-                        } else {
-                            RunOutcome::Deadlock(stuck)
-                        };
-                    }
-                    Some(ev) if ev.at > limit => return RunOutcome::TimeLimit,
-                    Some(_) => {
-                        let ev = st.events.pop().unwrap();
-                        debug_assert!(ev.at >= st.now, "time went backwards");
-                        st.now = ev.at;
-                        if !matches!(ev.action, EventAction::Note(..)) {
-                            st.dispatched += 1;
-                        }
-                        ev.action
-                    }
-                }
-            };
-            if let EventAction::Note(i, arg) = action {
-                self.call_hook(i, arg);
-                continue;
-            }
-            HOST_EVENTS.fetch_add(1, Ordering::Relaxed);
-            let t0 = std::time::Instant::now();
-            match action {
-                EventAction::WakeTask(tid) => self.handle().wake_task(tid),
-                EventAction::Call(f) => f(),
-                EventAction::Hook(i, arg) => self.call_hook(i, arg),
-                EventAction::Note(..) => unreachable!("notes are replayed above"),
-            }
-            HOST_EVENT_NS.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        let h = self.handle();
+        {
+            let mut st = self.core.state.lock();
+            st.limit = limit;
+            st.driver = Some(std::thread::current());
         }
+        let next = h.schedule(None);
+        if next.is_some() {
+            h.pass(next);
+            self.core.driver_gate.wait();
+            h.reap();
+        }
+        let mut st = self.core.state.lock();
+        if let Some(p) = st.panic.take() {
+            drop(st);
+            std::panic::resume_unwind(p);
+        }
+        st.outcome.take().expect("a stop has an outcome")
     }
 
     /// Drive until idle; panic with diagnostics if parked tasks remain.
@@ -557,32 +450,6 @@ impl Scheduler {
     pub fn now(&self) -> SimTime {
         self.core.state.lock().now
     }
-
-    fn call_hook(&self, i: usize, arg: usize) {
-        let mut f = self.core.hooks.lock()[i].take().expect("hook in use");
-        f(arg);
-        self.core.hooks.lock()[i] = Some(f);
-    }
-
-    fn finish_task(&self, tid: TaskId) {
-        let (joiners, jh) = {
-            let mut st = self.core.state.lock();
-            let slot = st.tasks.get_mut(&tid).expect("finished task exists");
-            slot.state = TaskState::Finished;
-            let joiners = std::mem::take(&mut slot.joiners);
-            let jh = slot.join_handle.take();
-            st.live_tasks -= 1;
-            (joiners, jh)
-        };
-        if let Some(jh) = jh {
-            // The thread has signalled Done; joining is immediate.
-            let _ = jh.join();
-        }
-        let h = self.handle();
-        for j in joiners {
-            h.wake_task(j);
-        }
-    }
 }
 
 impl SchedHandle {
@@ -596,6 +463,138 @@ impl SchedHandle {
     /// it counts one simulation only.
     pub fn events_dispatched(&self) -> u64 {
         self.core.state.lock().dispatched
+    }
+
+    /// Task slices this scheduler has granted so far, one per grant,
+    /// including a grant back to the task that just yielded.
+    pub fn slices_granted(&self) -> u64 {
+        self.core.state.lock().slices
+    }
+
+    /// Grants this scheduler has made that woke a different OS thread:
+    /// the host-side cost of the slices, since a grant back to the
+    /// yielding task costs no thread switch.
+    pub fn thread_switches(&self) -> u64 {
+        self.core.state.lock().switches
+    }
+
+    /// The scheduler loop, run by whichever thread holds the baton: grant
+    /// the next runnable task, else dispatch the next due event, until a
+    /// task is granted (a thread switch unless it is `me`) or the run
+    /// stops. A panic in event code stops the run, like a task's.
+    fn schedule(&self, me: Option<TaskId>) -> Option<Grant> {
+        std::panic::catch_unwind(AssertUnwindSafe(|| loop {
+            let action = {
+                let mut st = self.core.state.lock();
+                if st.panic.is_some() {
+                    return None;
+                }
+                if let Some(tid) = st.runnable.pop_front() {
+                    st.slices += 1;
+                    st.switches += u64::from(me != Some(tid));
+                    st.slice_start = Instant::now();
+                    HOST_SLICES.fetch_add(1, Ordering::Relaxed);
+                    let slot = st.tasks.get_mut(&tid).expect("runnable task exists");
+                    slot.state = TaskState::Running;
+                    slot.blocked_on = "";
+                    return Some((tid, Arc::clone(&slot.baton), slot.thread.clone()));
+                }
+                match st.events.peek() {
+                    None => {
+                        let stuck: Vec<(String, &'static str)> = st
+                            .tasks
+                            .values()
+                            .filter(|t| t.state == TaskState::Blocked && !t.daemon)
+                            .map(|t| (t.name.clone(), t.blocked_on))
+                            .collect();
+                        st.outcome = Some(if stuck.is_empty() {
+                            RunOutcome::Idle
+                        } else {
+                            RunOutcome::Deadlock(stuck)
+                        });
+                        return None;
+                    }
+                    Some(ev) if ev.at > st.limit => {
+                        st.outcome = Some(RunOutcome::TimeLimit);
+                        return None;
+                    }
+                    Some(_) => {
+                        let ev = st.events.pop().unwrap();
+                        debug_assert!(ev.at >= st.now, "time went backwards");
+                        st.now = ev.at;
+                        if !matches!(ev.action, EventAction::Note(..)) {
+                            st.dispatched += 1;
+                        }
+                        ev.action
+                    }
+                }
+            };
+            self.dispatch(action);
+        }))
+        .unwrap_or_else(|p| {
+            self.core.state.lock().panic.get_or_insert(p);
+            None
+        })
+    }
+
+    fn dispatch(&self, action: EventAction) {
+        if let EventAction::Note(i, arg) = action {
+            self.call_hook(i, arg);
+            return;
+        }
+        HOST_EVENTS.fetch_add(1, Ordering::Relaxed);
+        let t0 = Instant::now();
+        match action {
+            EventAction::WakeTask(tid) => self.wake_task(tid),
+            EventAction::Call(f) => f(),
+            EventAction::Hook(i, arg) => self.call_hook(i, arg),
+            EventAction::Note(..) => unreachable!("notes are replayed above"),
+        }
+        HOST_EVENT_NS.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    }
+
+    fn call_hook(&self, i: usize, arg: usize) {
+        let mut f = self.core.hooks.lock()[i].take().expect("hook in use");
+        f(arg);
+        self.core.hooks.lock()[i] = Some(f);
+    }
+
+    /// Hand the baton to where the loop sent it: open the granted task's
+    /// gate or, on a stop, the driver's.
+    fn pass(&self, next: Option<Grant>) {
+        match next {
+            Some((_, baton, thread)) => baton.pass(&thread),
+            None => {
+                let driver = self.core.state.lock().driver.clone();
+                self.core.driver_gate.pass(&driver.expect("a run is on"));
+            }
+        }
+    }
+
+    /// Join the threads of tasks that finished since the last holder of
+    /// the baton looked. Each has handed the baton on as its last act, so
+    /// the join waits at most for its thread to exit.
+    fn reap(&self) {
+        let exited = std::mem::take(&mut self.core.state.lock().exited);
+        for jh in exited {
+            let _ = jh.join();
+        }
+    }
+
+    /// The calling task `tid` finished (with the panic it raised, if any):
+    /// wake its joiners and queue its thread to be joined.
+    fn finish(&self, tid: TaskId, panic: Option<Box<dyn std::any::Any + Send>>) {
+        let mut st = self.core.state.lock();
+        st.end_slice();
+        st.panic = st.panic.take().or(panic);
+        let slot = st.tasks.get_mut(&tid).expect("finished task exists");
+        slot.state = TaskState::Finished;
+        let joiners = std::mem::take(&mut slot.joiners);
+        let jh = slot.join_handle.take().expect("task thread joined once");
+        st.exited.push(jh);
+        for j in joiners {
+            st.wake(j);
+        }
     }
 
     /// Queue `action` at `at` (clamped to be no earlier than now), ordered
@@ -619,7 +618,7 @@ impl SchedHandle {
         });
     }
 
-    /// Schedule `f` to run on the scheduler thread at absolute time `at`
+    /// Schedule `f` to run outside task context at absolute time `at`
     /// (clamped to be no earlier than now).
     pub fn call_at(&self, at: SimTime, f: impl FnOnce() + Send + 'static) {
         self.push(at, None, EventAction::Call(Box::new(f)));
@@ -674,19 +673,7 @@ impl SchedHandle {
 
     /// Wake `tid` per unpark semantics.
     pub fn wake_task(&self, tid: TaskId) {
-        let mut st = self.core.state.lock();
-        let Some(slot) = st.tasks.get_mut(&tid) else {
-            return;
-        };
-        match slot.state {
-            TaskState::Blocked => {
-                slot.state = TaskState::Runnable;
-                slot.notified = false;
-                st.runnable.push_back(tid);
-            }
-            TaskState::Runnable | TaskState::Running => slot.notified = true,
-            TaskState::Finished => {}
-        }
+        self.core.state.lock().wake(tid);
     }
 
     /// A waker for the given task.
@@ -721,7 +708,7 @@ impl SchedHandle {
         F: FnOnce() -> T + Send + 'static,
         T: Send + 'static,
     {
-        let baton = Baton::new();
+        let baton = Arc::new(Baton::default());
         let result: Arc<Mutex<Option<T>>> = Arc::new(Mutex::new(None));
         let tid = {
             let mut st = self.core.state.lock();
@@ -730,27 +717,27 @@ impl SchedHandle {
             tid
         };
         let thread = {
-            let baton = Arc::clone(&baton);
+            let task = TaskCtx {
+                handle: self.clone(),
+                tid,
+                baton: Arc::clone(&baton),
+            };
             let result = Arc::clone(&result);
-            let handle = self.clone();
-            let tname = name.clone();
             std::thread::Builder::new()
-                .name(format!("sim:{tname}"))
+                .name(format!("sim:{name}"))
                 .spawn(move || {
-                    baton.wait_first();
-                    CURRENT.with(|c| *c.borrow_mut() = Some((handle.clone(), tid)));
+                    task.baton.wait();
+                    task.handle.reap();
+                    let handle = task.handle.clone();
+                    CURRENT.with(|c| *c.borrow_mut() = Some(task));
                     let out = std::panic::catch_unwind(AssertUnwindSafe(f));
                     CURRENT.with(|c| *c.borrow_mut() = None);
-                    match out {
-                        Ok(v) => *result.lock() = Some(v),
-                        Err(p) => {
-                            let mut st = handle.core.state.lock();
-                            if st.panic.is_none() {
-                                st.panic = Some(p);
-                            }
-                        }
-                    };
-                    baton.finish();
+                    let panic = out.map(|v| *result.lock() = Some(v)).err();
+                    // Hand the baton on as this thread's last act; the next
+                    // holder joins it.
+                    handle.finish(tid, panic);
+                    let next = handle.schedule(None);
+                    handle.pass(next);
                 })
                 .expect("spawn sim task thread")
         };
@@ -764,12 +751,12 @@ impl SchedHandle {
                     state: TaskState::Runnable,
                     notified: false,
                     baton,
+                    thread: thread.thread().clone(),
                     join_handle: Some(thread),
                     joiners: Vec::new(),
                     blocked_on: "",
                 },
             );
-            st.live_tasks += 1;
             st.runnable.push_back(tid);
         }
         JoinHandle {
@@ -834,12 +821,13 @@ pub mod ctx {
     fn with_current<R>(f: impl FnOnce(&SchedHandle, TaskId) -> R) -> R {
         CURRENT.with(|c| {
             let b = c.borrow();
-            let (h, tid) = b.as_ref().expect("not inside a simulated task");
-            f(h, *tid)
+            let task = b.as_ref().expect("not inside a simulated task");
+            f(&task.handle, task.tid)
         })
     }
 
-    /// Is the calling thread a simulated task?
+    /// Is the calling thread running a simulated task? False in event
+    /// code, including events dispatched on a task's thread.
     pub fn in_task() -> bool {
         CURRENT.with(|c| c.borrow().is_some())
     }
@@ -864,32 +852,43 @@ pub mod ctx {
         with_current(|h, tid| h.waker(tid))
     }
 
+    /// End the calling task's slice (its state already says why) and run
+    /// the scheduler loop on this thread until the baton comes back to it.
+    fn hand_off() {
+        // Events dispatched here run outside task context.
+        let task = CURRENT
+            .with(|c| c.borrow_mut().take())
+            .expect("not inside a simulated task");
+        match task.handle.schedule(Some(task.tid)) {
+            Some((tid, ..)) if tid == task.tid => {}
+            next => {
+                task.handle.pass(next);
+                task.baton.wait();
+                task.handle.reap();
+            }
+        }
+        CURRENT.with(|c| *c.borrow_mut() = Some(task));
+    }
+
     /// Park the calling task until woken. `reason` appears in deadlock
     /// diagnostics. Consumes a pending wake token if present.
     pub fn park(reason: &'static str) {
-        let (baton, proceed) = with_current(|h, tid| {
+        let parked = with_current(|h, tid| {
             let mut st = h.core.state.lock();
             let slot = st.tasks.get_mut(&tid).expect("current task slot");
             if slot.notified {
                 slot.notified = false;
-                (Arc::clone(&slot.baton), true)
-            } else {
-                slot.state = TaskState::Blocked;
-                slot.blocked_on = reason;
-                (Arc::clone(&slot.baton), false)
+                return false;
             }
+            slot.state = TaskState::Blocked;
+            slot.blocked_on = reason;
+            st.end_slice();
+            true
         });
-        if proceed {
-            return;
+        if parked {
+            super::note_park(reason);
+            hand_off();
         }
-        super::note_park(reason);
-        baton.yield_and_wait();
-        with_current(|h, tid| {
-            let mut st = h.core.state.lock();
-            let slot = st.tasks.get_mut(&tid).expect("current task slot");
-            slot.state = TaskState::Running;
-            slot.blocked_on = "";
-        });
     }
 
     /// Yield the baton but stay runnable (cooperative yield at the same
@@ -897,19 +896,11 @@ pub mod ctx {
     pub fn yield_now() {
         with_current(|h, tid| {
             let mut st = h.core.state.lock();
-            let slot = st.tasks.get_mut(&tid).expect("current task slot");
-            slot.state = TaskState::Runnable;
+            st.tasks.get_mut(&tid).expect("current task slot").state = TaskState::Runnable;
             st.runnable.push_back(tid);
+            st.end_slice();
         });
-        let baton = with_current(|h, tid| {
-            let st = h.core.state.lock();
-            Arc::clone(&st.tasks.get(&tid).unwrap().baton)
-        });
-        baton.yield_and_wait();
-        with_current(|h, tid| {
-            let mut st = h.core.state.lock();
-            st.tasks.get_mut(&tid).unwrap().state = TaskState::Running;
-        });
+        hand_off();
     }
 
     /// Sleep for `d` of simulated time.
@@ -918,9 +909,9 @@ pub mod ctx {
             yield_now();
             return;
         }
-        let (h, tid) = with_current(|h, tid| (h.clone(), tid));
+        let h = handle();
         let at = h.now() + d;
-        h.push(at, None, EventAction::WakeTask(tid));
+        h.push(at, None, EventAction::WakeTask(current_task()));
         // A stray wake token could end the sleep early; loop on the clock.
         loop {
             park("sleep");
@@ -928,7 +919,6 @@ pub mod ctx {
                 break;
             }
         }
-        let _ = tid;
     }
 }
 
@@ -1071,5 +1061,197 @@ mod tests {
         }
         sched.run();
         assert_eq!(*log.lock(), vec!["x", "y", "x", "y", "x", "y"]);
+    }
+
+    #[test]
+    fn events_after_a_park_run_on_the_task_thread_outside_task_context() {
+        let sched = Scheduler::new();
+        let h = sched.handle();
+        let seen: Arc<Mutex<Option<(bool, std::thread::ThreadId)>>> = Arc::new(Mutex::new(None));
+        let s2 = Arc::clone(&seen);
+        let task = sched.spawn("parker", move || {
+            let w = ctx::waker();
+            ctx::handle().call_at(ctx::now() + Duration::from_millis(1), move || {
+                *s2.lock() = Some((ctx::in_task(), std::thread::current().id()));
+                w.wake();
+            });
+            ctx::park("test-wait");
+            std::thread::current().id()
+        });
+        assert_eq!(sched.run(), RunOutcome::Idle);
+        let parker = task.result.lock().take().unwrap();
+        let (in_task, ran_on) = seen.lock().take().expect("the call fired");
+        assert_eq!(
+            ran_on, parker,
+            "the parked task's thread dispatched the call"
+        );
+        assert!(!in_task, "event code must run outside task context");
+        assert_eq!(h.events_dispatched(), 1);
+    }
+
+    #[test]
+    fn hook_panic_during_a_task_park_surfaces_from_run() {
+        let sched = Scheduler::new();
+        let h = sched.handle();
+        let hook = h.register_hook(|_| panic!("hook exploded"));
+        sched.spawn("victim", move || {
+            let h = ctx::handle();
+            h.call_hook_at(h.now() + Duration::from_millis(1), None, hook, 0);
+            ctx::park("test-wait");
+        });
+        // Drive on a helper thread so a hang fails the test instead of
+        // stalling the suite.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let r = std::panic::catch_unwind(AssertUnwindSafe(|| sched.run()));
+            let msg = r.err().map(|p| {
+                p.downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .unwrap_or_default()
+            });
+            let _ = tx.send(msg);
+        });
+        let msg = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("run() hung after a hook panic");
+        assert_eq!(msg.as_deref(), Some("hook exploded"));
+    }
+
+    /// The limit is met on the sleeping task's thread (its sleep's handoff
+    /// finds the next wake past the limit); the next `run_for` must resume
+    /// it where it stopped.
+    #[test]
+    fn back_to_back_run_for_with_the_stop_found_mid_sleep() {
+        let sched = Scheduler::new();
+        let log: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
+        let l2 = Arc::clone(&log);
+        sched.spawn("sleeper", move || {
+            for _ in 0..6 {
+                ctx::sleep(Duration::from_secs(1));
+                l2.lock().push(ctx::now().as_nanos() / 1_000_000_000);
+            }
+        });
+        let ms = Duration::from_millis;
+        assert_eq!(sched.run_for(ms(2500)), RunOutcome::TimeLimit);
+        assert_eq!(*log.lock(), vec![1, 2]);
+        assert_eq!(sched.run_for(ms(2000)), RunOutcome::TimeLimit);
+        assert_eq!(*log.lock(), vec![1, 2, 3, 4]);
+        assert_eq!(sched.run(), RunOutcome::Idle);
+        assert_eq!(*log.lock(), vec![1, 2, 3, 4, 5, 6]);
+    }
+
+    /// Two tasks yield to each other around every sleep. A yield never
+    /// meets the limit itself (the yielder is runnable, and runnable tasks
+    /// go before events), so the stop is found on the last sleeper's
+    /// thread and both tasks resume into `yield_now` in the next run.
+    #[test]
+    fn back_to_back_run_for_with_yields_around_the_stop() {
+        let run = |splits: &[u64]| {
+            let sched = Scheduler::new();
+            let log: Arc<Mutex<Vec<(u64, &str)>>> = Arc::new(Mutex::new(Vec::new()));
+            for name in ["p", "q"] {
+                let log = Arc::clone(&log);
+                sched.spawn(name, move || {
+                    for _ in 0..4 {
+                        ctx::sleep(Duration::from_secs(1));
+                        ctx::yield_now();
+                        log.lock().push((ctx::now().as_nanos() / 1_000_000, name));
+                        ctx::yield_now();
+                    }
+                });
+            }
+            for &ms in splits {
+                assert_eq!(
+                    sched.run_for(Duration::from_millis(ms)),
+                    RunOutcome::TimeLimit
+                );
+            }
+            assert_eq!(sched.run(), RunOutcome::Idle);
+            let out = log.lock().clone();
+            out
+        };
+        let whole = run(&[]);
+        assert_eq!(whole.len(), 8);
+        assert_eq!(run(&[1500, 1000]), whole);
+        assert_eq!(run(&[999, 1, 1000]), whole);
+    }
+
+    #[test]
+    fn finished_task_threads_have_exited_when_run_returns() {
+        struct ExitMark(Arc<AtomicUsize>);
+        impl Drop for ExitMark {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        thread_local! {
+            static MARK: std::cell::RefCell<Option<ExitMark>> =
+                const { std::cell::RefCell::new(None) };
+        }
+        let exited = Arc::new(AtomicUsize::new(0));
+        let mark = |exited: &Arc<AtomicUsize>| {
+            let e = Arc::clone(exited);
+            move || MARK.with(|m| *m.borrow_mut() = Some(ExitMark(e)))
+        };
+        let sched = Scheduler::new();
+        for i in 0..6u64 {
+            let set = mark(&exited);
+            let child_set = mark(&exited);
+            sched.spawn(format!("t{i}"), move || {
+                set();
+                ctx::sleep(Duration::from_millis(i));
+                let child = ctx::handle().spawn(format!("c{i}"), move || {
+                    child_set();
+                    ctx::yield_now();
+                });
+                child.join();
+            });
+        }
+        assert_eq!(sched.run(), RunOutcome::Idle);
+        assert_eq!(
+            exited.load(Ordering::SeqCst),
+            12,
+            "a finished thread outlived run()"
+        );
+    }
+
+    #[test]
+    fn a_lone_sleeper_keeps_its_thread() {
+        let sched = Scheduler::new();
+        let h = sched.handle();
+        sched.spawn("sleeper", || {
+            for _ in 0..1000 {
+                ctx::sleep(Duration::from_micros(10));
+            }
+        });
+        assert_eq!(sched.run(), RunOutcome::Idle);
+        assert_eq!(h.slices_granted(), 1001);
+        assert!(h.thread_switches() <= 1, "{} switches", h.thread_switches());
+    }
+
+    #[test]
+    fn queue_ping_pong_switches_thread_on_every_slice() {
+        let sched = Scheduler::new();
+        let h = sched.handle();
+        let (ping, pong) = (
+            crate::sync::SimQueue::bounded(1),
+            crate::sync::SimQueue::bounded(1),
+        );
+        let (ping2, pong2) = (ping.clone(), pong.clone());
+        sched.spawn("a", move || {
+            for i in 0..200u32 {
+                ping.push(i).unwrap();
+                assert_eq!(pong.pop(), Some(i));
+            }
+        });
+        sched.spawn("b", move || {
+            for _ in 0..200 {
+                let v = ping2.pop().unwrap();
+                pong2.push(v).unwrap();
+            }
+        });
+        assert_eq!(sched.run(), RunOutcome::Idle);
+        assert!(h.slices_granted() >= 400, "{} slices", h.slices_granted());
+        assert_eq!(h.thread_switches(), h.slices_granted());
     }
 }
